@@ -183,3 +183,51 @@ func TestSessionBufferIsOverflowable(t *testing.T) {
 	}
 	_ = netstack.ErrClosed
 }
+
+// TestPassiveTransfersReleaseListeners runs 10k PASV transfers, each on a
+// fresh data port, as the vsftpd workload does. RETR closes each
+// transfer's data listener, so the listener count stays constant and a
+// port used earlier can be bound again.
+func TestPassiveTransfersReleaseListeners(t *testing.T) {
+	prot := launch(t, true)
+	if err := prot.Kernel.FS.WriteFile("/pub/file.bin", []byte("tiny"), fs.ModeRead); err != nil {
+		t.Fatal(err)
+	}
+	lfd, err := prot.Machine.CallFunction(vsftpd.FnInit)
+	if err != nil {
+		t.Fatalf("init: %v", err)
+	}
+	ctrl, err := prot.Kernel.Net.Dial(vsftpd.ControlPort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl.ClientWrite([]byte("USER anon\r\nPASS x\r\n"))
+	cfd, err := prot.Machine.CallFunction(vsftpd.FnSession, lfd)
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	stack := prot.Kernel.Net
+	listeners := stack.Listeners()
+	transfer := func(port uint64) {
+		t.Helper()
+		if _, err := prot.Machine.CallFunction(vsftpd.FnPasv, cfd, port); err != nil {
+			t.Fatalf("pasv %d: %v", port, err)
+		}
+		data, err := stack.Dial(uint16(port))
+		if err != nil {
+			t.Fatalf("dial %d: %v", port, err)
+		}
+		n, err := prot.Machine.CallFunction(vsftpd.FnRetr, cfd)
+		if err != nil || n != 4 || data.ClientDrain() != 4 {
+			t.Fatalf("retr on port %d = %d, %v", port, int64(n), err)
+		}
+		ctrl.ClientDrain()
+		if got := stack.Listeners(); got != listeners {
+			t.Fatalf("after transfer on port %d: %d listeners, want %d", port, got, listeners)
+		}
+	}
+	for i := uint64(1); i <= 10000; i++ {
+		transfer(vsftpd.DataPortBase + i)
+	}
+	transfer(vsftpd.DataPortBase + 1)
+}

@@ -273,23 +273,22 @@ func (f *Function) FrameSlots() []Slot {
 }
 
 // SlotOffset returns the byte offset of frame slot i from the frame's local
-// area base, and the total local area size. Slots are laid out in order,
-// 8-byte aligned.
+// area base. Slots are laid out in FrameSlots order, 8-byte aligned.
 func (f *Function) SlotOffset(i int) int64 {
-	var off int64
-	for j, s := range f.FrameSlots() {
-		if j == i {
-			return off
-		}
+	if i < 0 || i >= f.NumParams+len(f.Locals) {
+		panic(fmt.Sprintf("ir: function %s has no slot %d", f.Name, i))
+	}
+	off := int64(min(i, f.NumParams)) * WordSize
+	for _, s := range f.Locals[:max(i-f.NumParams, 0)] {
 		off += align8(s.Size)
 	}
-	panic(fmt.Sprintf("ir: function %s has no slot %d", f.Name, i))
+	return off
 }
 
 // FrameLocalSize is the total size of the frame's slot area.
 func (f *Function) FrameLocalSize() int64 {
-	var off int64
-	for _, s := range f.FrameSlots() {
+	off := int64(f.NumParams) * WordSize
+	for _, s := range f.Locals {
 		off += align8(s.Size)
 	}
 	return off

@@ -352,6 +352,24 @@ func (fl *File) Size() int64 {
 	return int64(len(fl.n.data))
 }
 
+// ReadCopy is Read into a new buffer sized to what it returns: up to n
+// bytes from the offset, which it advances. At EOF it returns nil and
+// allocates nothing.
+func (fl *File) ReadCopy(n int) ([]byte, error) {
+	fl.fs.mu.Lock()
+	defer fl.fs.mu.Unlock()
+	if fl.flags&0x3 == OWronly {
+		return nil, ErrPerm
+	}
+	if fl.offset >= int64(len(fl.n.data)) {
+		return nil, nil
+	}
+	end := min(fl.offset+int64(n), int64(len(fl.n.data)))
+	out := append([]byte(nil), fl.n.data[fl.offset:end]...)
+	fl.offset = end
+	return out, nil
+}
+
 // Mode returns the file's mode bits.
 func (fl *File) Mode() Mode {
 	fl.fs.mu.Lock()

@@ -3,6 +3,7 @@ package fs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -237,4 +238,43 @@ func sanitize(s string) string {
 		out = out[:32]
 	}
 	return string(out)
+}
+
+func TestReadCopy(t *testing.T) {
+	f := New()
+	if err := f.WriteFile("/f", []byte("0123456789"), ModeRead|ModeWrite); err != nil {
+		t.Fatal(err)
+	}
+	fl, err := f.Open("/f", ORdonly, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for {
+		b, err := fl.ReadCopy(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if cap(b) > 8 { // sized to what it returns, not to the request
+			t.Fatalf("ReadCopy(4) buffer cap = %d", cap(b))
+		}
+		got = append(got, string(b))
+	}
+	if want := "0123|4567|89"; strings.Join(got, "|") != want {
+		t.Fatalf("chunks = %q, want %q", got, want)
+	}
+	// The copy is the caller's: later writes to the file do not show.
+	fl.Seek(0, SeekSet)
+	b, _ := fl.ReadCopy(3)
+	w, _ := f.Open("/f", OWronly, 0)
+	w.Write([]byte("xyz"))
+	if string(b) != "012" {
+		t.Fatalf("copy aliases the file: %q", b)
+	}
+	if _, err := w.ReadCopy(1); !errors.Is(err, ErrPerm) {
+		t.Fatalf("ReadCopy on write-only file: %v, want ErrPerm", err)
+	}
 }

@@ -142,6 +142,10 @@ type Process struct {
 	brk        uint64
 	mmapCursor uint64
 
+	// ioBuf is the bounce buffer read and write reuse; nothing keeps a
+	// reference to it past the syscall.
+	ioBuf []byte
+
 	// Stdout collects writes to fds 1 and 2.
 	Stdout bytes.Buffer
 
@@ -495,12 +499,20 @@ func (p *Process) fd(n int) *FD { return p.fds[n] }
 
 // --- file syscalls ---
 
+// bounce returns the process's bounce buffer resized to n bytes.
+func (p *Process) bounce(n uint64) []byte {
+	if uint64(cap(p.ioBuf)) < n {
+		p.ioBuf = make([]byte, n)
+	}
+	return p.ioBuf[:n]
+}
+
 func (p *Process) sysRead(fd int, buf uint64, count uint64) (int64, error) {
 	if count > 1<<20 {
 		count = 1 << 20
 	}
 	d := p.fd(fd)
-	tmp := make([]byte, count)
+	tmp := p.bounce(count)
 	var n int
 	var err error
 	switch {
@@ -534,7 +546,7 @@ func (p *Process) sysWrite(fd int, buf uint64, count uint64) (int64, error) {
 	if count > 1<<20 {
 		count = 1 << 20
 	}
-	tmp := make([]byte, count)
+	tmp := p.bounce(count)
 	if err := p.M.Mem.Peek(buf, tmp); err != nil {
 		return -int64(EFAULT), nil
 	}
@@ -588,6 +600,9 @@ func (p *Process) sysClose(fd int) (int64, error) {
 	}
 	if d.Conn != nil {
 		d.Conn.Close()
+	}
+	if d.Sock != nil {
+		p.K.Net.Close(d.Sock)
 	}
 	delete(p.fds, fd)
 	return 0, nil
@@ -643,18 +658,17 @@ func (p *Process) sysSendfile(outFD, inFD int, offPtr, count uint64) (int64, err
 	if out == nil || in == nil || in.File == nil {
 		return -int64(EBADF), nil
 	}
-	if count > 1<<20 {
-		count = 1 << 20
-	}
-	tmp := make([]byte, count)
-	n, err := in.File.Read(tmp)
+	// The buffer holds only what is left of the file, so the call at EOF
+	// allocates nothing.
+	tmp, err := in.File.ReadCopy(int(min(count, 1<<20)))
 	if err != nil {
 		return -int64(EACCES), nil
 	}
-	tmp = tmp[:n]
+	n := len(tmp)
 	switch {
 	case out.Conn != nil:
-		if _, err := netstack.ServerWrite(out.Conn, tmp); err != nil {
+		// The connection takes the buffer instead of copying it.
+		if _, err := netstack.ServerWriteOwned(out.Conn, tmp); err != nil {
 			return -int64(EPERM), nil
 		}
 	case out.File != nil:

@@ -237,3 +237,53 @@ func TestErrnoCoverage(t *testing.T) {
 		}
 	}
 }
+
+// TestSendfileAtEOFNoAllocs pins the sendfile buffer to the bytes
+// left in the file: once the source is drained, each further call (the
+// loop-ending call every transfer makes) allocates nothing.
+func TestSendfileAtEOFNoAllocs(t *testing.T) {
+	m, _, k := newGuest(t, func(p *ir.Program) {
+		for _, f := range []struct {
+			name, path string
+			flags      int64
+		}{{"open_in", "/in.dat", fs.ORdonly}, {"open_out", "/out.dat", fs.OWronly | fs.OCreat}} {
+			b := ir.NewBuilder(f.name, 0)
+			b.Local("path", 16)
+			path := storeString(b, "path", f.path)
+			b.Ret(ir.R(b.Call("open", ir.R(path), ir.Imm(f.flags), ir.Imm(6))))
+			p.AddFunc(b.Build())
+		}
+		b := ir.NewBuilder("xfer", 2)
+		out, in := b.LoadLocal("p0"), b.LoadLocal("p1")
+		b.Ret(ir.R(b.Call("sendfile", ir.R(out), ir.R(in), ir.Imm(0), ir.Imm(65536))))
+		p.AddFunc(b.Build())
+		mb := ir.NewBuilder("main", 0)
+		mb.Ret(ir.Imm(0))
+		p.AddFunc(mb.Build())
+	})
+	k.FS.WriteFile("/in.dat", bytes.Repeat([]byte{7}, 5000), fs.ModeRead)
+	in, err := m.CallFunction("open_in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := m.CallFunction("open_out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []uint64{5000, 0} {
+		if n, err := m.CallFunction("xfer", out, in); err != nil || n != want {
+			t.Fatalf("sendfile = %d, %v; want %d", int64(n), err, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if n, err := m.CallFunction("xfer", out, in); err != nil || n != 0 {
+			t.Fatalf("sendfile at EOF = %d, %v", int64(n), err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("sendfile at EOF allocates %.1f objects per call", allocs)
+	}
+	if got, _ := k.FS.ReadFile("/out.dat"); len(got) != 5000 {
+		t.Fatalf("copied %d bytes, want 5000", len(got))
+	}
+}

@@ -28,8 +28,9 @@ type Conn struct {
 	mu sync.Mutex
 	// toServer holds bytes written by the client, read by the guest.
 	toServer []byte
-	// toClient holds bytes written by the guest, read by the client.
-	toClient []byte
+	// toClient queues the buffers written by the guest, in order, for the
+	// client to read. Every queued buffer belongs to the connection.
+	toClient [][]byte
 	closed   bool
 
 	// RemotePort is the simulated client ephemeral port, for diagnostics.
@@ -51,14 +52,33 @@ func (c *Conn) serverRead(buf []byte) (int, error) {
 	return n, nil
 }
 
-// serverWrite queues response bytes for the client.
+// serverWrite queues a copy of buf for the client, appended to the last
+// queued buffer when there is one.
 func (c *Conn) serverWrite(buf []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, ErrClosed
 	}
-	c.toClient = append(c.toClient, buf...)
+	if n := len(c.toClient); n > 0 {
+		c.toClient[n-1] = append(c.toClient[n-1], buf...)
+	} else if len(buf) > 0 {
+		c.toClient = append(c.toClient, append([]byte(nil), buf...))
+	}
+	return len(buf), nil
+}
+
+// serverWriteOwned queues buf itself for the client: the connection takes
+// ownership of it, and the caller must not touch it again.
+func (c *Conn) serverWriteOwned(buf []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return 0, ErrClosed
+	}
+	if len(buf) > 0 {
+		c.toClient = append(c.toClient, buf)
+	}
 	return len(buf), nil
 }
 
@@ -78,8 +98,15 @@ func (c *Conn) ClientWrite(buf []byte) (int, error) {
 func (c *Conn) ClientRead(buf []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := copy(buf, c.toClient)
-	c.toClient = c.toClient[n:]
+	var n int
+	for n < len(buf) && len(c.toClient) > 0 {
+		m := copy(buf[n:], c.toClient[0])
+		n += m
+		if c.toClient[0] = c.toClient[0][m:]; len(c.toClient[0]) == 0 {
+			c.toClient[0] = nil
+			c.toClient = c.toClient[1:]
+		}
+	}
 	return n, nil
 }
 
@@ -87,9 +114,29 @@ func (c *Conn) ClientRead(buf []byte) (int, error) {
 func (c *Conn) ClientReadAll() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := c.toClient
+	var out []byte
+	if len(c.toClient) == 1 {
+		out = c.toClient[0]
+	} else {
+		for _, b := range c.toClient {
+			out = append(out, b...)
+		}
+	}
 	c.toClient = nil
 	return out
+}
+
+// ClientDrain discards everything the guest has written and returns its
+// length, for clients that only count the bytes.
+func (c *Conn) ClientDrain() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int
+	for _, b := range c.toClient {
+		n += len(b)
+	}
+	c.toClient = nil
+	return n
 }
 
 // Close marks the connection closed; subsequent guest reads see EOF.
@@ -196,9 +243,35 @@ func (s *Stack) Accept(sk *Socket) (*Conn, error) {
 		return nil, ErrWouldBlock
 	}
 	c := sk.Lst.backlog[0]
+	sk.Lst.backlog[0] = nil // the accepted conn now belongs to the caller
 	sk.Lst.backlog = sk.Lst.backlog[1:]
 	s.AcceptedTotal++
 	return c, nil
+}
+
+// Close releases a listening socket: its port becomes free to bind again
+// and its pending connections are closed. Closing any other socket is a
+// no-op here; a connected socket's Conn is closed by its owner.
+func (s *Stack) Close(sk *Socket) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sk.State != SockListening || sk.Lst == nil {
+		return
+	}
+	if s.listeners[sk.Port] == sk.Lst {
+		delete(s.listeners, sk.Port)
+	}
+	for _, c := range sk.Lst.backlog {
+		c.Close()
+	}
+	sk.Lst.backlog = nil
+}
+
+// Listeners returns the number of ports with a listening socket.
+func (s *Stack) Listeners() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.listeners)
 }
 
 // Dial simulates a remote client connecting to port: the new connection is
@@ -249,5 +322,10 @@ func (s *Stack) Pending(port uint16) int {
 // ServerRead is the kernel-facing read on an accepted connection.
 func ServerRead(c *Conn, buf []byte) (int, error) { return c.serverRead(buf) }
 
-// ServerWrite is the kernel-facing write on an accepted connection.
+// ServerWrite is the kernel-facing write on an accepted connection. It
+// copies buf.
 func ServerWrite(c *Conn, buf []byte) (int, error) { return c.serverWrite(buf) }
+
+// ServerWriteOwned is ServerWrite without the copy: the connection takes
+// ownership of buf.
+func ServerWriteOwned(c *Conn, buf []byte) (int, error) { return c.serverWriteOwned(buf) }

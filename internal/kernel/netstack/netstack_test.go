@@ -3,6 +3,7 @@ package netstack
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -155,5 +156,116 @@ func TestGuestConnect(t *testing.T) {
 	}
 	if s.Pending(5432) != 1 {
 		t.Fatal("connection not queued at listener")
+	}
+}
+
+func TestCloseListenerReleasesPort(t *testing.T) {
+	s := NewStack()
+	sk := listen(t, s, 30001)
+	pending, err := s.Dial(30001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close(sk)
+	if n := s.Listeners(); n != 0 {
+		t.Fatalf("Listeners = %d after close, want 0", n)
+	}
+	if !pending.Closed() {
+		t.Fatal("pending connection left open by listener close")
+	}
+	if _, err := s.Dial(30001); !errors.Is(err, ErrRefused) {
+		t.Fatalf("Dial closed port: %v, want ErrRefused", err)
+	}
+	// The port can be bound and listened on again.
+	again := listen(t, s, 30001)
+	if _, err := s.Dial(30001); err != nil {
+		t.Fatalf("Dial rebound port: %v", err)
+	}
+	if _, err := s.Accept(again); err != nil {
+		t.Fatalf("Accept on rebound port: %v", err)
+	}
+	// Closing a socket that is not listening leaves the stack alone.
+	s.Close(s.NewSocket())
+	if n := s.Listeners(); n != 1 {
+		t.Fatalf("Listeners = %d, want 1", n)
+	}
+}
+
+func TestAcceptReleasesBacklogSlot(t *testing.T) {
+	s := NewStack()
+	sk := listen(t, s, 80)
+	if _, err := s.Dial(80); err != nil {
+		t.Fatal(err)
+	}
+	backlog := sk.Lst.backlog
+	if _, err := s.Accept(sk); err != nil {
+		t.Fatal(err)
+	}
+	if backlog[0] != nil {
+		t.Fatal("accepted conn still reachable through the backlog array")
+	}
+}
+
+func TestOwnedAndCopiedWritesKeepOrder(t *testing.T) {
+	s := NewStack()
+	sk := listen(t, s, 80)
+	client, _ := s.Dial(80)
+	conn, _ := s.Accept(sk)
+	src := []byte("ab")
+	for _, w := range []struct {
+		buf   []byte
+		owned bool
+	}{
+		{src, false}, {[]byte("cde"), true}, {[]byte("f"), false},
+		{nil, true}, {[]byte("gh"), true}, {[]byte("ij"), false},
+	} {
+		write := ServerWrite
+		if w.owned {
+			write = ServerWriteOwned
+		}
+		if n, err := write(conn, w.buf); err != nil || n != len(w.buf) {
+			t.Fatalf("write %q: %d, %v", w.buf, n, err)
+		}
+	}
+	src[0] = 'X' // a copied write must not alias its source
+	if got := string(client.ClientReadAll()); got != "abcdefghij" {
+		t.Fatalf("ClientReadAll = %q, want %q", got, "abcdefghij")
+	}
+	if got := client.ClientReadAll(); got != nil {
+		t.Fatalf("second ClientReadAll = %q, want nil", got)
+	}
+}
+
+func TestPartialClientReadDrainsAcrossBuffers(t *testing.T) {
+	s := NewStack()
+	sk := listen(t, s, 80)
+	client, _ := s.Dial(80)
+	conn, _ := s.Accept(sk)
+	ServerWrite(conn, []byte("abc"))
+	ServerWriteOwned(conn, []byte("defg"))
+	ServerWriteOwned(conn, []byte("h"))
+	var got []string
+	for _, size := range []int{5, 2, 10, 4} {
+		b := make([]byte, size)
+		n, err := client.ClientRead(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, string(b[:n]))
+	}
+	if want := []string{"abcde", "fg", "h", ""}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("reads = %q, want %q", got, want)
+	}
+	ServerWriteOwned(conn, []byte("xyz"))
+	ServerWrite(conn, []byte("w"))
+	if n := client.ClientDrain(); n != 4 {
+		t.Fatalf("ClientDrain = %d, want 4", n)
+	}
+	if n, _ := client.ClientRead(make([]byte, 4)); n != 0 {
+		t.Fatalf("read after drain = %d bytes", n)
+	}
+	client.Close()
+	if _, err := ServerWriteOwned(conn, []byte("z")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("owned write after close: %v", err)
 	}
 }

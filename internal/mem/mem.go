@@ -3,6 +3,10 @@
 // per-page permissions, checked guest accesses, and privileged (kernel/
 // ptrace-style) accesses that bypass permissions — the access path the
 // BASTION monitor uses via process_vm_readv.
+//
+// Mapped pages are zero pages until first written: a mapping costs one map
+// entry per page, and a page's 4 KiB of storage is allocated by the first
+// write that touches it.
 package mem
 
 import (
@@ -76,15 +80,17 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: fault: %s at %#x: %s", f.Kind, f.Addr, f.Why)
 }
 
+// page is one mapped page. data stays nil, and the page reads as zeros,
+// until the first write materialises it.
 type page struct {
-	data [PageSize]byte
+	data *[PageSize]byte
 	perm Perm
 }
 
 // Space is a sparse virtual address space. The zero value is not usable;
 // call NewSpace.
 type Space struct {
-	pages map[uint64]*page // keyed by page-aligned address
+	pages map[uint64]page // keyed by page-aligned address
 
 	// Reads and Writes count checked guest accesses, for statistics.
 	Reads, Writes uint64
@@ -92,7 +98,7 @@ type Space struct {
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{pages: make(map[uint64]*page)}
+	return &Space{pages: make(map[uint64]page)}
 }
 
 func pageAddr(a uint64) uint64 { return a &^ (PageSize - 1) }
@@ -111,14 +117,18 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 	if length == 0 {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "zero-length mapping"}
 	}
-	for a := addr; a < addr+RoundUp(length); a += PageSize {
-		if pg, ok := s.pages[a]; ok {
-			pg.perm = perm
-		} else {
-			s.pages[a] = &page{perm: perm}
-		}
-	}
+	s.setPerm(addr, addr+RoundUp(length), perm)
 	return nil
+}
+
+// setPerm sets the permissions of every page in [addr, end), mapping the
+// missing ones as zero pages.
+func (s *Space) setPerm(addr, end uint64, perm Perm) {
+	for a := addr; a < end; a += PageSize {
+		pg := s.pages[a]
+		pg.perm = perm
+		s.pages[a] = pg
+	}
 }
 
 // Unmap removes the pages covering [addr, addr+length).
@@ -145,9 +155,7 @@ func (s *Space) Protect(addr, length uint64, perm Perm) error {
 			return &Fault{Addr: a, Kind: AccessMap, Why: "mprotect of unmapped page"}
 		}
 	}
-	for a := addr; a < end; a += PageSize {
-		s.pages[a].perm = perm
-	}
+	s.setPerm(addr, end, perm)
 	return nil
 }
 
@@ -214,9 +222,16 @@ func (s *Space) access(addr uint64, buf []byte, write, checkPerm bool) error {
 		if chunk > n-done {
 			chunk = n - done
 		}
-		if write {
+		switch {
+		case write:
+			if pg.data == nil {
+				pg.data = new([PageSize]byte)
+				s.pages[pa] = pg
+			}
 			copy(pg.data[off:off+chunk], buf[done:done+chunk])
-		} else {
+		case pg.data == nil:
+			clear(buf[done : done+chunk])
+		default:
 			copy(buf[done:done+chunk], pg.data[off:off+chunk])
 		}
 		done += chunk

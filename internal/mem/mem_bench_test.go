@@ -9,6 +9,7 @@ func BenchmarkGuestWord(b *testing.B) {
 	if err := s.Map(0x10000, 1<<16, PermRW); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := 0x10000 + uint64(i%8000)*8
@@ -30,6 +31,7 @@ func BenchmarkBulkCopy(b *testing.B) {
 	}
 	buf := make([]byte, 64*1024)
 	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Write(0x10800, buf); err != nil { // unaligned start

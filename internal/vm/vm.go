@@ -185,7 +185,11 @@ type Machine struct {
 	rsp uint64
 	rbp uint64
 
+	// frames is the register-frame stack. Entries past len(frames) are
+	// popped frames kept for reuse, so steady-state calls allocate nothing.
 	frames []*frame
+	// args is doCall's scratch buffer for outgoing argument values.
+	args []uint64
 
 	// Steps counts executed instructions; MaxSteps bounds runaway guests
 	// (0 means no limit).
@@ -432,9 +436,29 @@ func (m *Machine) pushCall(fn *ir.Function, args []uint64, retaddr uint64) error
 			return err
 		}
 	}
-	m.frames = append(m.frames, &frame{fn: fn})
-	m.CallDepth = len(m.frames)
+	m.pushFrame(fn, 0)
 	return nil
+}
+
+// pushFrame pushes a register frame for fn resuming at instruction idx,
+// reusing a previously popped frame (registers cleared) when one is
+// available.
+func (m *Machine) pushFrame(fn *ir.Function, idx int) {
+	n := len(m.frames)
+	if n < cap(m.frames) {
+		m.frames = m.frames[:n+1]
+	} else {
+		m.frames = append(m.frames, nil)
+	}
+	fr := m.frames[n]
+	if fr == nil {
+		fr = new(frame)
+		m.frames[n] = fr
+	} else {
+		clear(fr.regs[:])
+	}
+	fr.fn, fr.idx = fn, idx
+	m.CallDepth = len(m.frames)
 }
 
 func (m *Machine) slotAddr(fn *ir.Function, slot int) uint64 {
@@ -584,10 +608,15 @@ func (m *Machine) doCall(fr *frame, fn *ir.Function, in *ir.Instr, callee *ir.Fu
 	if strict && len(in.Args) != callee.NumParams {
 		return fmt.Errorf("vm: call %s with %d args, want %d", callee.Name, len(in.Args), callee.NumParams)
 	}
-	args := make([]uint64, callee.NumParams)
-	for i := 0; i < len(in.Args) && i < callee.NumParams; i++ {
-		args[i] = m.val(fr, in.Args[i])
+	args := m.args[:0]
+	for i := 0; i < callee.NumParams; i++ {
+		var v uint64
+		if i < len(in.Args) {
+			v = m.val(fr, in.Args[i])
+		}
+		args = append(args, v)
 	}
+	m.args = args
 	retaddr := fn.InstrAddr(fr.idx) // fr.idx already advanced past the call
 	return m.pushCall(callee, args, retaddr)
 }
@@ -624,8 +653,7 @@ func (m *Machine) doRet(fr *frame, in *ir.Instr) error {
 	if len(m.frames) == 0 {
 		// A hijacked bottom frame: fabricate a register frame so gadget
 		// execution can proceed (registers are scratch at this point).
-		m.frames = append(m.frames, &frame{fn: tf, idx: idx})
-		m.CallDepth = len(m.frames)
+		m.pushFrame(tf, idx)
 		return nil
 	}
 	top := m.frames[len(m.frames)-1]

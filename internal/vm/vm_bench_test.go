@@ -36,6 +36,7 @@ func BenchmarkInterpreterALU(b *testing.B) {
 	}
 	m.MaxSteps = 0
 	b.SetBytes(1000 * 5) // ~5 instructions per iteration
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.CallFunction("main"); err != nil {
 			b.Fatal(err)
@@ -66,6 +67,7 @@ func BenchmarkCallReturn(b *testing.B) {
 		b.Fatal(err)
 	}
 	m.MaxSteps = 0
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.CallFunction("main"); err != nil {
 			b.Fatal(err)
@@ -100,6 +102,7 @@ func BenchmarkGuestMemoryAccess(b *testing.B) {
 		b.Fatal(err)
 	}
 	m.MaxSteps = 0
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := m.CallFunction("main"); err != nil {
 			b.Fatal(err)

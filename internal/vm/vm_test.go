@@ -602,3 +602,42 @@ func TestSlotAddrAndHookFuncErrors(t *testing.T) {
 		t.Fatal("SlotAddr outside a frame succeeded")
 	}
 }
+
+// TestCallFunctionNoAllocs pins the interpreter's hot path: once warmed,
+// a guest call that touches its locals, calls a helper and returns
+// allocates nothing (frames and the argument buffer are reused, and slot
+// offsets are computed, not built).
+func TestCallFunctionNoAllocs(t *testing.T) {
+	p := ir.NewProgram()
+	hb := ir.NewBuilder("helper", 2)
+	a := hb.LoadLocal("p0")
+	c := hb.LoadLocal("p1")
+	hb.Ret(ir.R(hb.Bin(ir.OpAdd, ir.R(a), ir.R(c))))
+	p.AddFunc(hb.Build())
+	lb := ir.NewBuilder("leaf", 1)
+	lb.Local("buf", 24)
+	lb.Local("v", 8)
+	x := lb.LoadLocal("p0")
+	lb.StoreLocal("v", ir.R(x))
+	buf := lb.Lea("buf", 8)
+	lb.Store(buf, 0, ir.R(x), 8)
+	v := lb.LoadLocal("v")
+	w := lb.Load(buf, 0, 8)
+	lb.Ret(ir.R(lb.Call("helper", ir.R(v), ir.R(w))))
+	p.AddFunc(lb.Build())
+	p.Entry = "leaf"
+
+	m := mustMachine(t, p)
+	m.MaxSteps = 0
+	if got, err := m.CallFunction("leaf", 21); err != nil || got != 42 {
+		t.Fatalf("leaf(21) = %d, %v; want 42", got, err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.CallFunction("leaf", 21); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed CallFunction allocates %.1f objects per call", allocs)
+	}
+}

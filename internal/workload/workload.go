@@ -398,7 +398,12 @@ func (t *Vsftpd) ListenFD() uint64 { return t.lfd }
 
 // Unit implements Target: one passive-mode download.
 func (t *Vsftpd) Unit(p *core.Protected, i int) (int64, error) {
-	t.port++
+	// Data ports cycle through [DataPortBase+1, 65535]: each transfer's
+	// listener is closed when it ends, so a port is free again by the time
+	// the cycle comes back to it.
+	if t.port++; t.port > 65535 {
+		t.port = vsftpd.DataPortBase + 1
+	}
 	if _, err := p.Machine.CallFunction(vsftpd.FnPasv, t.cfd, t.port); err != nil {
 		return 0, err
 	}
@@ -410,11 +415,11 @@ func (t *Vsftpd) Unit(p *core.Protected, i int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	got := data.ClientReadAll()
-	if int64(len(got)) != int64(n) || int64(n) != FTPFileSize {
-		return int64(n), fmt.Errorf("transfer %d moved %d bytes (driver saw %d)", i, int64(n), len(got))
+	got := data.ClientDrain()
+	if int64(got) != int64(n) || int64(n) != FTPFileSize {
+		return int64(n), fmt.Errorf("transfer %d moved %d bytes (driver saw %d)", i, int64(n), got)
 	}
-	t.ctrl.ClientReadAll()
+	t.ctrl.ClientDrain()
 	return int64(n), nil
 }
 
