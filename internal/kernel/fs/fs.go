@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -37,10 +38,14 @@ var (
 )
 
 type node struct {
-	name     string
-	mode     Mode
-	dir      bool
-	data     []byte
+	name string
+	mode Mode
+	dir  bool
+	data []byte
+	// shared is set once ReadView has handed out a view of data. Nothing
+	// writes into a shared array again: the next write replaces data with
+	// a private copy first, and OTrunc drops it.
+	shared   bool
 	children map[string]*node
 }
 
@@ -137,6 +142,7 @@ func (f *FS) WriteFile(p string, data []byte, mode Mode) error {
 		dir.children[name] = n
 	}
 	n.data = append([]byte(nil), data...)
+	n.shared = false
 	n.mode = mode
 	return nil
 }
@@ -275,7 +281,11 @@ func (f *FS) Open(p string, flags int, mode Mode) (*File, error) {
 		return nil, ErrPerm
 	}
 	if flags&OTrunc != 0 && acc != ORdonly {
-		n.data = n.data[:0]
+		if n.shared {
+			n.data, n.shared = nil, false
+		} else {
+			n.data = n.data[:0]
+		}
 	}
 	file := &File{fs: f, n: n, flags: flags}
 	if flags&OAppend != 0 {
@@ -299,20 +309,27 @@ func (fl *File) Read(buf []byte) (int, error) {
 	return n, nil
 }
 
-// Write writes at the current offset, extending the file as needed.
+// Write writes at the current offset, extending the file as needed. A
+// file whose data a view may point at is copied first; any other file is
+// written in place and grows geometrically, so a file built up by small
+// appends is copied O(log n) times, not once per write.
 func (fl *File) Write(buf []byte) (int, error) {
 	fl.fs.mu.Lock()
 	defer fl.fs.mu.Unlock()
 	if fl.flags&0x3 == ORdonly {
 		return 0, ErrPerm
 	}
+	n := fl.n
 	end := fl.offset + int64(len(buf))
-	if int64(len(fl.n.data)) < end {
-		grown := make([]byte, end)
-		copy(grown, fl.n.data)
-		fl.n.data = grown
+	if n.shared {
+		n.data = append(make([]byte, 0, max(int64(len(n.data)), end)), n.data...)
+		n.shared = false
 	}
-	copy(fl.n.data[fl.offset:end], buf)
+	if size := int64(len(n.data)); size < end {
+		n.data = slices.Grow(n.data, int(end-size))[:end]
+		clear(n.data[size:]) // a hole before the offset reads as zeroes
+	}
+	copy(n.data[fl.offset:end], buf)
 	fl.offset = end
 	return len(buf), nil
 }
@@ -352,10 +369,12 @@ func (fl *File) Size() int64 {
 	return int64(len(fl.n.data))
 }
 
-// ReadCopy is Read into a new buffer sized to what it returns: up to n
-// bytes from the offset, which it advances. At EOF it returns nil and
-// allocates nothing.
-func (fl *File) ReadCopy(n int) ([]byte, error) {
+// ReadView is Read without the copy: it returns up to n bytes from the
+// offset, which it advances, as a read-only view of the file's data, or nil
+// at EOF. It allocates nothing. The view is capacity-clipped, so appending
+// to it copies, and later writes to the file never show in it: the file
+// copies its data before the next write. Callers must not write into it.
+func (fl *File) ReadView(n int) ([]byte, error) {
 	fl.fs.mu.Lock()
 	defer fl.fs.mu.Unlock()
 	if fl.flags&0x3 == OWronly {
@@ -365,9 +384,10 @@ func (fl *File) ReadCopy(n int) ([]byte, error) {
 		return nil, nil
 	}
 	end := min(fl.offset+int64(n), int64(len(fl.n.data)))
-	out := append([]byte(nil), fl.n.data[fl.offset:end]...)
+	view := fl.n.data[fl.offset:end:end]
+	fl.n.shared = true
 	fl.offset = end
-	return out, nil
+	return view, nil
 }
 
 // Mode returns the file's mode bits.

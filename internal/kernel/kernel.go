@@ -658,25 +658,26 @@ func (p *Process) sysSendfile(outFD, inFD int, offPtr, count uint64) (int64, err
 	if out == nil || in == nil || in.File == nil {
 		return -int64(EBADF), nil
 	}
-	// The buffer holds only what is left of the file, so the call at EOF
-	// allocates nothing.
-	tmp, err := in.File.ReadCopy(int(min(count, 1<<20)))
+	// A read-only view of the file's data: nothing is copied until the data
+	// reaches an output that keeps its own bytes (a file or stdout). Writes
+	// to the source file, sendfile into itself included, copy the file's
+	// data first, so bytes queued to a connection never change.
+	view, err := in.File.ReadView(int(min(count, 1<<20)))
 	if err != nil {
 		return -int64(EACCES), nil
 	}
-	n := len(tmp)
+	n := len(view)
 	switch {
 	case out.Conn != nil:
-		// The connection takes the buffer instead of copying it.
-		if _, err := netstack.ServerWriteOwned(out.Conn, tmp); err != nil {
+		if _, err := netstack.ServerWriteView(out.Conn, view); err != nil {
 			return -int64(EPERM), nil
 		}
 	case out.File != nil:
-		if _, err := out.File.Write(tmp); err != nil {
+		if _, err := out.File.Write(view); err != nil {
 			return -int64(EACCES), nil
 		}
 	case outFD == 1 || outFD == 2:
-		p.Stdout.Write(tmp)
+		p.Stdout.Write(view)
 	default:
 		return -int64(EBADF), nil
 	}

@@ -7,6 +7,8 @@ import (
 	"bastion/internal/ir"
 	"bastion/internal/kernel"
 	"bastion/internal/kernel/fs"
+	"bastion/internal/kernel/netstack"
+	"bastion/internal/vm"
 )
 
 func TestSendfileFileToFile(t *testing.T) {
@@ -285,5 +287,172 @@ func TestSendfileAtEOFNoAllocs(t *testing.T) {
 	}
 	if got, _ := k.FS.ReadFile("/out.dat"); len(got) != 5000 {
 		t.Fatalf("copied %d bytes, want 5000", len(got))
+	}
+}
+
+// sendfileGuest is a guest with a listening socket on port 80 and one
+// function per step the sendfile tests drive: accept, open, sendfile,
+// write and lseek.
+type sendfileGuest struct {
+	t   *testing.T
+	m   *vm.Machine
+	k   *kernel.Kernel
+	lfd uint64
+}
+
+func newSendfileGuest(t *testing.T, file string) *sendfileGuest {
+	t.Helper()
+	m, _, k := newGuest(t, func(p *ir.Program) {
+		sb := ir.NewBuilder("server_setup", 0)
+		sb.Local("sa", 16)
+		sb.Local("sfd", 8)
+		sfd := sb.Call("socket", ir.Imm(2), ir.Imm(1), ir.Imm(0))
+		sb.StoreLocal("sfd", ir.R(sfd))
+		sa := buildSockaddr(sb, "sa", 80)
+		sb.Call("bind", ir.R(sb.LoadLocal("sfd")), ir.R(sa), ir.Imm(16))
+		sb.Call("listen", ir.R(sb.LoadLocal("sfd")), ir.Imm(128))
+		sb.Ret(ir.R(sb.LoadLocal("sfd")))
+		p.AddFunc(sb.Build())
+
+		ab := ir.NewBuilder("accept_conn", 1)
+		ab.Local("peer", 16)
+		ab.Ret(ir.R(ab.Call("accept", ir.R(ab.LoadLocal("p0")), ir.R(ab.Lea("peer", 0)), ir.Imm(0))))
+		p.AddFunc(ab.Build())
+
+		ob := ir.NewBuilder("open_file", 1)
+		ob.Local("path", 16)
+		path := storeString(ob, "path", "/pub/f")
+		ob.Ret(ir.R(ob.Call("open", ir.R(path), ir.R(ob.LoadLocal("p0")), ir.Imm(6))))
+		p.AddFunc(ob.Build())
+
+		xb := ir.NewBuilder("xfer", 3)
+		out, in, count := xb.LoadLocal("p0"), xb.LoadLocal("p1"), xb.LoadLocal("p2")
+		xb.Ret(ir.R(xb.Call("sendfile", ir.R(out), ir.R(in), ir.Imm(0), ir.R(count))))
+		p.AddFunc(xb.Build())
+
+		wb := ir.NewBuilder("write_zzz", 1)
+		wb.Local("buf", 8)
+		buf := storeString(wb, "buf", "zzz")
+		wb.Ret(ir.R(wb.Call("write", ir.R(wb.LoadLocal("p0")), ir.R(buf), ir.Imm(3))))
+		p.AddFunc(wb.Build())
+
+		lb := ir.NewBuilder("seek", 2)
+		lb.Ret(ir.R(lb.Call("lseek", ir.R(lb.LoadLocal("p0")), ir.R(lb.LoadLocal("p1")), ir.Imm(fs.SeekSet))))
+		p.AddFunc(lb.Build())
+
+		mb := ir.NewBuilder("main", 0)
+		mb.Ret(ir.Imm(0))
+		p.AddFunc(mb.Build())
+	})
+	if err := k.FS.WriteFile("/pub/f", []byte(file), fs.ModeRead|fs.ModeWrite); err != nil {
+		t.Fatal(err)
+	}
+	g := &sendfileGuest{t: t, m: m, k: k}
+	g.lfd = g.call("server_setup")
+	return g
+}
+
+func (g *sendfileGuest) call(fn string, args ...uint64) uint64 {
+	g.t.Helper()
+	r, err := g.m.CallFunction(fn, args...)
+	if err != nil {
+		g.t.Fatalf("%s: %v", fn, err)
+	}
+	if int64(r) < 0 {
+		g.t.Fatalf("%s returned %d", fn, int64(r))
+	}
+	return r
+}
+
+// connect dials port 80 and returns the client end and the guest's fd.
+func (g *sendfileGuest) connect() (*netstack.Conn, uint64) {
+	g.t.Helper()
+	client, err := g.k.Net.Dial(80)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	return client, g.call("accept_conn", g.lfd)
+}
+
+func (g *sendfileGuest) file() string {
+	g.t.Helper()
+	b, err := g.k.FS.ReadFile("/pub/f")
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestSendfileCOW: bytes sendfile has queued to a client never change,
+// whatever later happens to the source file or the connection.
+func TestSendfileCOW(t *testing.T) {
+	const data = "0123456789abcdef"
+	for _, tc := range []struct {
+		name   string
+		after  func(g *sendfileGuest, cfd, in uint64)
+		client string // what the client reads
+		file   string // the file afterwards
+	}{
+		{"overwrite", func(g *sendfileGuest, _, _ uint64) {
+			w, _ := g.k.FS.Open("/pub/f", fs.OWronly, 0)
+			w.Write([]byte("XXXXXXXXXXXX"))
+		}, "01234567", "XXXXXXXXXXXXcdef"},
+		{"truncate", func(g *sendfileGuest, _, _ uint64) {
+			w, _ := g.k.FS.Open("/pub/f", fs.OWronly|fs.OTrunc, 0)
+			w.Write([]byte("new"))
+		}, "01234567", "new"},
+		{"guest-write-to-conn", func(g *sendfileGuest, cfd, _ uint64) {
+			g.call("write_zzz", cfd)
+		}, "01234567zzz", data},
+		{"into-itself", func(g *sendfileGuest, _, in uint64) {
+			self := g.call("open_file", fs.ORdwr)
+			g.call("seek", self, 4)
+			g.call("seek", in, 0)
+			if n := g.call("xfer", self, in, 8); n != 8 {
+				t.Fatalf("sendfile into itself moved %d", n)
+			}
+		}, "01234567", "012301234567cdef"},
+		{"no-later-write", func(*sendfileGuest, uint64, uint64) {}, "01234567", data},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newSendfileGuest(t, data)
+			client, cfd := g.connect()
+			in := g.call("open_file", fs.ORdonly)
+			if n := g.call("xfer", cfd, in, 8); n != 8 {
+				t.Fatalf("sendfile moved %d", n)
+			}
+			tc.after(g, cfd, in)
+			got := client.ClientReadAll()
+			if string(got) != tc.client {
+				t.Fatalf("client read %q, want %q", got, tc.client)
+			}
+			for i := range got { // what the client read is its own
+				got[i] = 'X'
+			}
+			if f := g.file(); f != tc.file {
+				t.Fatalf("file = %q, want %q", f, tc.file)
+			}
+		})
+	}
+}
+
+// TestSendfileToConnNoAllocs pins the zero-copy sendfile: a warmed
+// mid-file sendfile into a connection, drained by the client, allocates
+// nothing.
+func TestSendfileToConnNoAllocs(t *testing.T) {
+	g := newSendfileGuest(t, string(bytes.Repeat([]byte{0x5a}, 64<<10)))
+	client, cfd := g.connect()
+	in := g.call("open_file", fs.ORdonly)
+	xfer := func() {
+		if n, err := g.m.CallFunction("xfer", cfd, in, 16); err != nil || n != 16 {
+			t.Fatalf("sendfile = %d, %v", int64(n), err)
+		}
+		if n := client.ClientDrain(); n != 16 {
+			t.Fatalf("client drained %d bytes", n)
+		}
+	}
+	xfer()
+	if allocs := testing.AllocsPerRun(100, xfer); allocs != 0 {
+		t.Fatalf("sendfile to a connection allocates %.1f objects per call", allocs)
 	}
 }

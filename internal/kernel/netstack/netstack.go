@@ -29,12 +29,21 @@ type Conn struct {
 	// toServer holds bytes written by the client, read by the guest.
 	toServer []byte
 	// toClient queues the buffers written by the guest, in order, for the
-	// client to read. Every queued buffer belongs to the connection.
-	toClient [][]byte
+	// client to read.
+	toClient []queued
 	closed   bool
 
 	// RemotePort is the simulated client ephemeral port, for diagnostics.
 	RemotePort uint16
+}
+
+// queued is one buffer on a connection's queue to the client. A view is a
+// read-only buffer the connection does not own, such as file data queued
+// by sendfile: nothing writes into it, and it is copied before it reaches
+// a client that could. Every other buffer belongs to the connection.
+type queued struct {
+	b    []byte
+	view bool
 }
 
 // serverRead moves up to len(buf) request bytes to the guest.
@@ -53,31 +62,30 @@ func (c *Conn) serverRead(buf []byte) (int, error) {
 }
 
 // serverWrite queues a copy of buf for the client, appended to the last
-// queued buffer when there is one.
+// queued buffer when the connection owns it.
 func (c *Conn) serverWrite(buf []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, ErrClosed
 	}
-	if n := len(c.toClient); n > 0 {
-		c.toClient[n-1] = append(c.toClient[n-1], buf...)
+	if n := len(c.toClient); n > 0 && !c.toClient[n-1].view {
+		c.toClient[n-1].b = append(c.toClient[n-1].b, buf...)
 	} else if len(buf) > 0 {
-		c.toClient = append(c.toClient, append([]byte(nil), buf...))
+		c.toClient = append(c.toClient, queued{b: append([]byte(nil), buf...)})
 	}
 	return len(buf), nil
 }
 
-// serverWriteOwned queues buf itself for the client: the connection takes
-// ownership of it, and the caller must not touch it again.
-func (c *Conn) serverWriteOwned(buf []byte) (int, error) {
+// serverWriteView queues buf itself for the client, as a read-only view.
+func (c *Conn) serverWriteView(buf []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return 0, ErrClosed
 	}
 	if len(buf) > 0 {
-		c.toClient = append(c.toClient, buf)
+		c.toClient = append(c.toClient, queued{b: buf, view: true})
 	}
 	return len(buf), nil
 }
@@ -100,29 +108,31 @@ func (c *Conn) ClientRead(buf []byte) (int, error) {
 	defer c.mu.Unlock()
 	var n int
 	for n < len(buf) && len(c.toClient) > 0 {
-		m := copy(buf[n:], c.toClient[0])
+		m := copy(buf[n:], c.toClient[0].b)
 		n += m
-		if c.toClient[0] = c.toClient[0][m:]; len(c.toClient[0]) == 0 {
-			c.toClient[0] = nil
+		if c.toClient[0].b = c.toClient[0].b[m:]; len(c.toClient[0].b) == 0 {
+			c.toClient[0] = queued{}
 			c.toClient = c.toClient[1:]
 		}
 	}
 	return n, nil
 }
 
-// ClientReadAll drains and returns everything the guest has written.
+// ClientReadAll drains and returns everything the guest has written. The
+// result is the caller's: a lone owned buffer is returned as is, anything
+// else is copied.
 func (c *Conn) ClientReadAll() []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []byte
-	if len(c.toClient) == 1 {
-		out = c.toClient[0]
+	if len(c.toClient) == 1 && !c.toClient[0].view {
+		out = c.toClient[0].b
 	} else {
-		for _, b := range c.toClient {
-			out = append(out, b...)
+		for _, q := range c.toClient {
+			out = append(out, q.b...)
 		}
 	}
-	c.toClient = nil
+	c.resetQueue()
 	return out
 }
 
@@ -132,11 +142,18 @@ func (c *Conn) ClientDrain() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int
-	for _, b := range c.toClient {
-		n += len(b)
+	for _, q := range c.toClient {
+		n += len(q.b)
 	}
-	c.toClient = nil
+	c.resetQueue()
 	return n
+}
+
+// resetQueue empties the queue to the client, keeping its storage for the
+// next writes.
+func (c *Conn) resetQueue() {
+	clear(c.toClient)
+	c.toClient = c.toClient[:0]
 }
 
 // Close marks the connection closed; subsequent guest reads see EOF.
@@ -326,6 +343,8 @@ func ServerRead(c *Conn, buf []byte) (int, error) { return c.serverRead(buf) }
 // copies buf.
 func ServerWrite(c *Conn, buf []byte) (int, error) { return c.serverWrite(buf) }
 
-// ServerWriteOwned is ServerWrite without the copy: the connection takes
-// ownership of buf.
-func ServerWriteOwned(c *Conn, buf []byte) (int, error) { return c.serverWriteOwned(buf) }
+// ServerWriteView is ServerWrite without the copy: buf itself is queued as
+// a read-only view, such as file data from fs.File.ReadView. Neither the
+// connection nor the caller may write into it afterwards; the connection
+// copies it before handing it to a client.
+func ServerWriteView(c *Conn, buf []byte) (int, error) { return c.serverWriteView(buf) }

@@ -206,22 +206,22 @@ func TestAcceptReleasesBacklogSlot(t *testing.T) {
 	}
 }
 
-func TestOwnedAndCopiedWritesKeepOrder(t *testing.T) {
+func TestViewAndCopiedWritesKeepOrder(t *testing.T) {
 	s := NewStack()
 	sk := listen(t, s, 80)
 	client, _ := s.Dial(80)
 	conn, _ := s.Accept(sk)
 	src := []byte("ab")
 	for _, w := range []struct {
-		buf   []byte
-		owned bool
+		buf  []byte
+		view bool
 	}{
 		{src, false}, {[]byte("cde"), true}, {[]byte("f"), false},
 		{nil, true}, {[]byte("gh"), true}, {[]byte("ij"), false},
 	} {
 		write := ServerWrite
-		if w.owned {
-			write = ServerWriteOwned
+		if w.view {
+			write = ServerWriteView
 		}
 		if n, err := write(conn, w.buf); err != nil || n != len(w.buf) {
 			t.Fatalf("write %q: %d, %v", w.buf, n, err)
@@ -242,8 +242,8 @@ func TestPartialClientReadDrainsAcrossBuffers(t *testing.T) {
 	client, _ := s.Dial(80)
 	conn, _ := s.Accept(sk)
 	ServerWrite(conn, []byte("abc"))
-	ServerWriteOwned(conn, []byte("defg"))
-	ServerWriteOwned(conn, []byte("h"))
+	ServerWriteView(conn, []byte("defg"))
+	ServerWriteView(conn, []byte("h"))
 	var got []string
 	for _, size := range []int{5, 2, 10, 4} {
 		b := make([]byte, size)
@@ -256,7 +256,7 @@ func TestPartialClientReadDrainsAcrossBuffers(t *testing.T) {
 	if want := []string{"abcde", "fg", "h", ""}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("reads = %q, want %q", got, want)
 	}
-	ServerWriteOwned(conn, []byte("xyz"))
+	ServerWriteView(conn, []byte("xyz"))
 	ServerWrite(conn, []byte("w"))
 	if n := client.ClientDrain(); n != 4 {
 		t.Fatalf("ClientDrain = %d, want 4", n)
@@ -265,7 +265,83 @@ func TestPartialClientReadDrainsAcrossBuffers(t *testing.T) {
 		t.Fatalf("read after drain = %d bytes", n)
 	}
 	client.Close()
-	if _, err := ServerWriteOwned(conn, []byte("z")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("owned write after close: %v", err)
+	if _, err := ServerWriteView(conn, []byte("z")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("view write after close: %v", err)
+	}
+}
+
+// accepted returns a client conn and the guest's end of it.
+func accepted(t *testing.T) (client, conn *Conn) {
+	t.Helper()
+	s := NewStack()
+	sk := listen(t, s, 80)
+	client, _ = s.Dial(80)
+	conn, err := s.Accept(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return client, conn
+}
+
+// TestViewNotWrittenByLaterWrite: a copied write after a view starts a
+// buffer of its own instead of appending into the view, even when the
+// view has spare capacity.
+func TestViewNotWrittenByLaterWrite(t *testing.T) {
+	client, conn := accepted(t)
+	file := []byte("abcd\x00\x00\x00\x00")
+	ServerWriteView(conn, file[:4])
+	ServerWrite(conn, []byte("xyz"))
+	if string(file) != "abcd\x00\x00\x00\x00" {
+		t.Fatalf("queued view's array = %q after a later write", file)
+	}
+	if got := string(client.ClientReadAll()); got != "abcdxyz" {
+		t.Fatalf("ClientReadAll = %q", got)
+	}
+}
+
+// TestViewClientReadAllCopies: a lone queued view reaches ClientReadAll
+// as a copy, so a client that writes into what it read cannot change the
+// viewed data; a lone owned buffer is returned without a copy.
+func TestViewClientReadAllCopies(t *testing.T) {
+	client, conn := accepted(t)
+	file := []byte("file data")
+	ServerWriteView(conn, file)
+	got := client.ClientReadAll()
+	for i := range got {
+		got[i] = 'X'
+	}
+	if string(file) != "file data" {
+		t.Fatalf("writing ClientReadAll's result changed the view to %q", file)
+	}
+	// Each write-and-read-all below makes exactly one buffer: the copy
+	// serverWrite takes, or the copy ClientReadAll makes of the view.
+	for _, write := range []func(*Conn, []byte) (int, error){ServerWrite, ServerWriteView} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			write(conn, file)
+			client.ClientReadAll()
+		}); allocs != 1 {
+			t.Fatalf("write + ClientReadAll allocates %.1f objects, want 1", allocs)
+		}
+	}
+}
+
+// TestViewPartialClientReads: reading a view in pieces copies it out and
+// leaves the viewed array unchanged.
+func TestViewPartialClientReads(t *testing.T) {
+	client, conn := accepted(t)
+	file := []byte("0123456789")
+	ServerWriteView(conn, file[2:8:8])
+	var got []byte
+	for {
+		b := make([]byte, 4)
+		n, _ := client.ClientRead(b)
+		if n == 0 {
+			break
+		}
+		got = append(got, b[:n]...)
+		b[0] = 'X' // the client's buffer is its own
+	}
+	if string(got) != "234567" || string(file) != "0123456789" {
+		t.Fatalf("reads = %q, file = %q", got, file)
 	}
 }
