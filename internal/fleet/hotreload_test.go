@@ -30,12 +30,12 @@ type verdictTuple struct {
 
 func tupleOf(e obs.TrapEvent) verdictTuple {
 	return verdictTuple{
-		nr:   e.Nr,
-		name: e.Name,
-		ct:   normVerdict(e.CT),
-		cf:   normVerdict(e.CF),
-		ai:   normVerdict(e.AI),
-		sf:   normVerdict(e.SF),
+		nr:        e.Nr,
+		name:      e.Name,
+		ct:        normVerdict(e.CT),
+		cf:        normVerdict(e.CF),
+		ai:        normVerdict(e.AI),
+		sf:        normVerdict(e.SF),
 		violation: e.Violation,
 	}
 }

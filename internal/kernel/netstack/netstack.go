@@ -33,6 +33,11 @@ type Conn struct {
 	toClient []queued
 	closed   bool
 
+	// queue0 is toClient's first storage, allocated with the connection.
+	queue0 [1]queued
+	// stack recycles the connection's drained response buffers.
+	stack *Stack
+
 	// RemotePort is the simulated client ephemeral port, for diagnostics.
 	RemotePort uint16
 }
@@ -62,7 +67,8 @@ func (c *Conn) serverRead(buf []byte) (int, error) {
 }
 
 // serverWrite queues a copy of buf for the client, appended to the last
-// queued buffer when the connection owns it.
+// queued buffer when the connection owns it, or else to the stack's spare
+// buffer.
 func (c *Conn) serverWrite(buf []byte) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -72,7 +78,7 @@ func (c *Conn) serverWrite(buf []byte) (int, error) {
 	if n := len(c.toClient); n > 0 && !c.toClient[n-1].view {
 		c.toClient[n-1].b = append(c.toClient[n-1].b, buf...)
 	} else if len(buf) > 0 {
-		c.toClient = append(c.toClient, queued{b: append([]byte(nil), buf...)})
+		c.toClient = append(c.toClient, queued{b: append(c.stack.takeSpare(), buf...)})
 	}
 	return len(buf), nil
 }
@@ -137,15 +143,23 @@ func (c *Conn) ClientReadAll() []byte {
 }
 
 // ClientDrain discards everything the guest has written and returns its
-// length, for clients that only count the bytes.
+// length, for clients that only count the bytes. Its largest owned buffer
+// becomes the stack's spare; no one else holds a drained buffer, while a
+// view belongs to its owner and a ClientReadAll result to its caller, so
+// neither is ever recycled.
 func (c *Conn) ClientDrain() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var n int
+	var largest []byte
 	for _, q := range c.toClient {
 		n += len(q.b)
+		if !q.view && cap(q.b) > cap(largest) {
+			largest = q.b
+		}
 	}
 	c.resetQueue()
+	c.stack.recycle(largest)
 	return n
 }
 
@@ -207,6 +221,28 @@ type Stack struct {
 
 	// AcceptedTotal counts accepted connections, for workload statistics.
 	AcceptedTotal uint64
+
+	spareMu sync.Mutex // taken under Conn.mu, never the other way round
+	spare   []byte     // an empty response buffer, recycled by ClientDrain
+}
+
+// takeSpare hands out the spare buffer, emptied, or nil if there is none.
+func (s *Stack) takeSpare() []byte {
+	s.spareMu.Lock()
+	defer s.spareMu.Unlock()
+	b := s.spare[:0]
+	s.spare = nil
+	return b
+}
+
+// recycle keeps b as the spare buffer if it is larger than the current
+// one. b must be owned by no one else.
+func (s *Stack) recycle(b []byte) {
+	s.spareMu.Lock()
+	defer s.spareMu.Unlock()
+	if cap(b) > cap(s.spare) {
+		s.spare = b
+	}
 }
 
 // NewStack returns an empty loopback stack.
@@ -303,7 +339,8 @@ func (s *Stack) Dial(port uint16) (*Conn, error) {
 	if len(l.backlog) >= l.maxlog {
 		return nil, fmt.Errorf("netstack: backlog full on port %d", port)
 	}
-	c := &Conn{RemotePort: s.nextEphem}
+	c := &Conn{RemotePort: s.nextEphem, stack: s}
+	c.toClient = c.queue0[:0]
 	s.nextEphem++
 	if s.nextEphem == 0 {
 		s.nextEphem = 40000

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -344,4 +345,124 @@ func TestViewPartialClientReads(t *testing.T) {
 	if string(got) != "234567" || string(file) != "0123456789" {
 		t.Fatalf("reads = %q, file = %q", got, file)
 	}
+}
+
+// TestDrainRecycleAllocs: a drained response buffer becomes the stack's
+// spare, so the next connection's first write that fits in it allocates
+// nothing.
+func TestDrainRecycleAllocs(t *testing.T) {
+	s := NewStack()
+	listen(t, s, 80)
+	resp := bytes.Repeat([]byte("r"), 6745)
+	first, _ := s.Dial(80)
+	ServerWrite(first, resp)
+	if n := first.ClientDrain(); n != len(resp) {
+		t.Fatalf("ClientDrain = %d, want %d", n, len(resp))
+	}
+	var conns []*Conn
+	for i := 0; i < 8; i++ {
+		c, err := s.Dial(80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c)
+	}
+	if allocs := testing.AllocsPerRun(len(conns)-1, func() {
+		c := conns[0]
+		conns = conns[1:]
+		ServerWrite(c, resp)
+		c.ClientDrain()
+	}); allocs != 0 {
+		t.Fatalf("write into a recycled buffer allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestViewNeverRecycled: ClientDrain recycles only owned buffers, so a
+// sendfile view it drains, even one with more capacity than the owned
+// buffer beside it, is never written by a later connection.
+func TestViewNeverRecycled(t *testing.T) {
+	s := NewStack()
+	listen(t, s, 80)
+	file := bytes.Repeat([]byte("f"), 4096)
+	c1, _ := s.Dial(80)
+	ServerWrite(c1, []byte("hdr"))
+	ServerWriteView(c1, file)
+	c1.ClientDrain()
+	c2, _ := s.Dial(80)
+	ServerWriteView(c2, file[:16])
+	c2.ClientDrain()
+	c3, _ := s.Dial(80)
+	ServerWrite(c3, bytes.Repeat([]byte("w"), 4096))
+	if !bytes.Equal(file, bytes.Repeat([]byte("f"), 4096)) {
+		t.Fatal("a drained view was written by a later connection")
+	}
+	if got := c3.ClientReadAll(); !bytes.Equal(got, bytes.Repeat([]byte("w"), 4096)) {
+		t.Fatalf("ClientReadAll = %q", got)
+	}
+}
+
+// TestClientReadAllBufferNeverRecycled: the buffer ClientReadAll hands
+// out is the caller's; writing into it never shows up in a later
+// connection's data, and later connections never write into it.
+func TestClientReadAllBufferNeverRecycled(t *testing.T) {
+	s := NewStack()
+	listen(t, s, 80)
+	c1, _ := s.Dial(80)
+	ServerWrite(c1, bytes.Repeat([]byte("a"), 4096))
+	mine := c1.ClientReadAll()
+	for i := range mine {
+		mine[i] = 'X'
+	}
+	for i := 0; i < 3; i++ {
+		c, _ := s.Dial(80)
+		want := bytes.Repeat([]byte{byte('b' + i)}, 100)
+		ServerWrite(c, want)
+		if got := c.ClientReadAll(); !bytes.Equal(got, want) {
+			t.Fatalf("conn %d read %q, want %q", i, got, want)
+		}
+		c2, _ := s.Dial(80)
+		ServerWrite(c2, want)
+		c2.ClientDrain()
+	}
+	if !bytes.Equal(mine, bytes.Repeat([]byte("X"), 4096)) {
+		t.Fatal("a ClientReadAll result was written by a later connection")
+	}
+}
+
+// TestDrainRecycleConcurrent: connections on one stack write, read and
+// drain concurrently; the spare buffer passes between them without a
+// race, and no connection ever sees another's bytes.
+func TestDrainRecycleConcurrent(t *testing.T) {
+	s := NewStack()
+	sk := listen(t, s, 80)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(fill byte) {
+			defer wg.Done()
+			part := bytes.Repeat([]byte{fill}, 1000)
+			for i := 0; i < 500; i++ {
+				c, err := s.Dial(80)
+				if err == nil {
+					_, err = s.Accept(sk) // keeps the backlog short
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ServerWrite(c, part)
+				ServerWrite(c, part)
+				got := make([]byte, len(part))
+				if n, _ := c.ClientRead(got); n != len(got) || !bytes.Equal(got, part) {
+					t.Errorf("conn %d read %d bytes %q...", i, n, got[:8])
+					return
+				}
+				if n := c.ClientDrain(); n != len(part) {
+					t.Errorf("conn %d drained %d bytes, want %d", i, n, len(part))
+					return
+				}
+			}
+		}(byte('a' + g))
+	}
+	wg.Wait()
 }

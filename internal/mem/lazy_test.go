@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"runtime"
 	"sort"
@@ -71,7 +73,7 @@ func (s *eagerSpace) access(addr uint64, buf []byte, write, checkPerm bool) erro
 	n := uint64(len(buf))
 	for done := uint64(0); done < n; {
 		a := addr + done
-		pa := pageAddr(a)
+		pa := a &^ (PageSize - 1)
 		pg, ok := s.pages[pa]
 		if !ok {
 			k := AccessRead
@@ -132,26 +134,46 @@ func (r *opReader) byte() byte {
 func (r *opReader) u16() uint64 { return uint64(r.byte()) | uint64(r.byte())<<8 }
 
 // FuzzSpaceLazyVsEager runs random Map/Unmap/Protect/Read/Write/Peek/Poke/
-// Regions sequences against the lazy Space and the eager reference model:
-// every fault, every byte read and the final memory image must agree.
+// Regions and ReadUint/WriteUint/PeekUint/PokeUint sequences against the
+// lazy Space and the eager reference model: every fault, every byte and
+// word read, the access counters and the final memory image must agree.
+// The window straddles the chunk boundary at 0x200000, a page byte with
+// the high bit set aliases the window to a chunk with the same cache slot,
+// and a length byte with bit 0x40 set counts chunks instead of pages.
 func FuzzSpaceLazyVsEager(f *testing.F) {
 	f.Add([]byte{0, 2, 2, 0, 3, 4, 2, 0x10, 0, 0x20, 0, 3, 2, 0x08, 0, 0x40, 0})
 	f.Add([]byte{0, 0, 4, 0, 7, 4, 1, 0xf8, 0x0f, 0x10, 0x00, 2, 1, 1, 0, 1, 5, 1, 0xf0, 0x0f, 0x40, 0, 1, 1, 1, 0, 3, 1, 0, 0, 0, 0x10, 7})
 	f.Add([]byte{0, 3, 1, 1, 4, 3, 0, 0, 0x20, 0, 6, 3, 0, 0, 0x20, 0, 1, 3, 1, 0, 0, 3, 0, 0, 0, 0x10, 0})
+	// Words across the chunk boundary 0x1ff000-0x201000, then against a
+	// read-only page on its far side.
+	f.Add([]byte{0, 7, 2, 3, 9, 7, 0xfc, 0x0f, 3, 8, 7, 0xfc, 0x0f, 3, 10, 8, 0, 0, 2,
+		2, 8, 1, 1, 9, 7, 0xfc, 0x0f, 3, 8, 7, 0xfc, 0x0f, 3, 11, 8, 0x10, 0, 3, 7, 0})
+	// Unmap and remap a whole chunk: its words must read as zeros again.
+	f.Add([]byte{0, 8, 0x4c, 3, 9, 8, 0x10, 0, 3, 4, 9, 0, 0, 0x20, 0, 1, 8, 0x4c, 0,
+		8, 8, 0x10, 0, 3, 0, 8, 0x4c, 3, 8, 8, 0x10, 0, 3, 10, 9, 0, 0, 3, 7, 0})
+	// Words in a PROT_NONE page and in its cache-aliased twin chunk.
+	f.Add([]byte{0, 5, 1, 0, 8, 5, 0, 0, 3, 9, 5, 0, 0x80, 2, 11, 5, 8, 0, 3, 10, 5, 8, 0, 3,
+		0, 0x85, 1, 3, 9, 0x85, 0xf9, 0x8f, 3, 8, 5, 8, 0, 3, 8, 0x85, 0xf9, 0x8f, 3, 7, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const base = 0x40000
+		const base = 0x1f8000
 		const window = 16 // pages
 		lazy, ref := NewSpace(), newEager()
 		r := &opReader{b: data}
 		for step := 0; len(r.b) > 0 && step < 256; step++ {
-			op := r.byte() % 8
-			pg := uint64(r.byte() % window)
-			addr := base + pg*PageSize
+			op := r.byte() % 12
+			pb := r.byte()
+			addr := base + uint64(pb%window)*PageSize
+			if pb&0x80 != 0 {
+				addr += cacheSlots << chunkShift
+			}
 			var errL, errR error
 			switch op {
-			case 0, 1, 2: // Map, Unmap, Protect: a few pages, sometimes unaligned
+			case 0, 1, 2: // Map, Unmap, Protect: a few pages or chunks, sometimes unaligned
 				n := uint64(r.byte())
 				length := (n%5)*PageSize - (n/5)%3
+				if n&0x40 != 0 {
+					length *= chunkPages
+				}
 				if n&0x80 != 0 {
 					addr++
 				}
@@ -189,6 +211,41 @@ func FuzzSpaceLazyVsEager(f *testing.F) {
 				if !bytes.Equal(got, buf) {
 					t.Fatalf("step %d op %d at %#x: bytes differ", step, op, addr)
 				}
+			case 8, 9, 10, 11: // ReadUint, WriteUint, PeekUint, PokeUint
+				off := r.u16()
+				if off&0x8000 != 0 { // the last bytes of the page: straddling words
+					addr += PageSize - 8 + off%8
+				} else {
+					addr += off % PageSize
+				}
+				size := []int64{1, 2, 4, 8}[r.byte()%4]
+				v := uint64(step+1) * 0x0100_7f00_0301_ff05 // includes zero bytes
+				var buf [8]byte
+				binary.LittleEndian.PutUint64(buf[:], v)
+				var got uint64
+				switch op {
+				case 8:
+					ref.reads++
+					got, errL = lazy.ReadUint(addr, size)
+					errR = ref.access(addr, buf[:size], false, true)
+				case 9:
+					ref.writes++
+					errL, errR = lazy.WriteUint(addr, v, size), ref.access(addr, buf[:size], true, true)
+				case 10:
+					got, errL = lazy.PeekUint(addr, size)
+					errR = ref.access(addr, buf[:size], false, false)
+				case 11:
+					errL, errR = lazy.PokeUint(addr, v, size), ref.access(addr, buf[:size], true, false)
+				}
+				if op == 8 || op == 10 {
+					want := uint64(0)
+					if errR == nil {
+						want = binary.LittleEndian.Uint64(buf[:]) & (1<<(8*size) - 1)
+					}
+					if got != want {
+						t.Fatalf("step %d op %d size %d at %#x: got %#x, want %#x", step, op, size, addr, got, want)
+					}
+				}
 			case 7:
 				if l, e := lazy.Regions(), ref.Regions(); !reflect.DeepEqual(l, e) {
 					t.Fatalf("step %d: Regions = %v, want %v", step, l, e)
@@ -198,12 +255,12 @@ func FuzzSpaceLazyVsEager(f *testing.F) {
 			if !reflect.DeepEqual(errL, errR) {
 				t.Fatalf("step %d op %d at %#x: err = %v, want %v", step, op, addr, errL, errR)
 			}
+			if lazy.Reads != ref.reads || lazy.Writes != ref.writes {
+				t.Fatalf("step %d op %d: counters = %d/%d, want %d/%d", step, op, lazy.Reads, lazy.Writes, ref.reads, ref.writes)
+			}
 		}
 		if l, e := lazy.Regions(), ref.Regions(); !reflect.DeepEqual(l, e) {
 			t.Fatalf("final Regions = %v, want %v", l, e)
-		}
-		if lazy.Reads != ref.reads || lazy.Writes != ref.writes {
-			t.Fatalf("counters = %d/%d, want %d/%d", lazy.Reads, lazy.Writes, ref.reads, ref.writes)
 		}
 		for a, pg := range ref.pages {
 			var got [PageSize]byte
@@ -220,9 +277,11 @@ func FuzzSpaceLazyVsEager(f *testing.F) {
 // materialised counts the pages that hold storage.
 func (s *Space) materialised() int {
 	var n int
-	for _, pg := range s.pages {
-		if pg.data != nil {
-			n++
+	for _, c := range s.dir {
+		for _, pg := range &c.pages {
+			if pg.data != nil {
+				n++
+			}
 		}
 	}
 	return n
@@ -260,5 +319,65 @@ func TestLazyShadowMapping(t *testing.T) {
 	}
 	if n := s.materialised(); n != 1 {
 		t.Fatalf("1-byte write materialised %d pages, want 1", n)
+	}
+}
+
+// TestWordAccessAllocs pins the word fast path: once a page is
+// materialised, checked word loads and stores allocate nothing.
+func TestWordAccessAllocs(t *testing.T) {
+	s := NewSpace()
+	if err := s.Map(ir.StackTop-ir.StackSize, ir.StackSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	addr := ir.StackTop - 64
+	if err := s.WriteUint(addr, 1, 8); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for size := int64(1); size <= 8; size *= 2 {
+			if err := s.WriteUint(addr, 0x1122334455667788, size); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ReadUint(addr, size); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed ReadUint/WriteUint: %v allocs, want 0", allocs)
+	}
+}
+
+// TestLazyUnmapReleasesChunks maps and unmaps 4 MiB at many distinct
+// addresses, as a guest cycling mmap/munmap does: every chunk must be
+// freed and dropped from the chunk cache, and the old addresses must
+// fault afterwards.
+func TestLazyUnmapReleasesChunks(t *testing.T) {
+	const size = 4 << 20
+	s := NewSpace()
+	addrAt := func(i int) uint64 { return 0x7f00_0000_0000 + uint64(i)*(size+3*PageSize) }
+	for i := 0; i < 1000; i++ {
+		a := addrAt(i)
+		if err := s.Map(a, size, PermRW); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteUint(a+size/2, uint64(i), 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Unmap(a, size); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(s.dir); n != 0 {
+		t.Fatalf("%d chunks left in the directory", n)
+	}
+	for i, e := range s.cache {
+		if e.c != nil {
+			t.Fatalf("cache slot %d still holds chunk %#x", i, e.key)
+		}
+	}
+	var f *Fault
+	if _, err := s.ReadUint(addrAt(999)+size/2, 8); !errors.As(err, &f) || f.Why != "unmapped page" {
+		t.Fatalf("read of an unmapped address: %v, want an unmapped-page fault", err)
 	}
 }

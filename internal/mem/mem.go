@@ -4,9 +4,9 @@
 // ptrace-style) accesses that bypass permissions — the access path the
 // BASTION monitor uses via process_vm_readv.
 //
-// Mapped pages are zero pages until first written: a mapping costs one map
-// entry per page, and a page's 4 KiB of storage is allocated by the first
-// write that touches it.
+// Mapped pages are zero pages until first written: a mapping costs one
+// page-table entry per page, and a page's 4 KiB of storage is allocated by
+// the first write that touches it.
 package mem
 
 import (
@@ -80,17 +80,49 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("mem: fault: %s at %#x: %s", f.Kind, f.Addr, f.Why)
 }
 
-// page is one mapped page. data stays nil, and the page reads as zeros,
-// until the first write materialises it.
+// page is one page-table entry. data stays nil, and a mapped page reads as
+// zeros, until the first write materialises it.
 type page struct {
-	data *[PageSize]byte
-	perm Perm
+	data   *[PageSize]byte
+	perm   Perm
+	mapped bool
 }
 
-// Space is a sparse virtual address space. The zero value is not usable;
-// call NewSpace.
+// Page-table geometry: the address space is split into 2 MiB chunks of 512
+// page entries each.
+const (
+	pageShift  = 12
+	chunkShift = 21
+	chunkPages = 1 << (chunkShift - pageShift)
+)
+
+// chunk holds the page entries of one 2 MiB-aligned span of the address
+// space. It exists while at least one of its pages is mapped.
+type chunk struct {
+	pages [chunkPages]page
+	live  int // mapped pages
+}
+
+// cacheSlots is the size of the direct-mapped chunk cache.
+const cacheSlots = 8
+
+type cached struct {
+	key uint64
+	c   *chunk // nil: empty slot
+}
+
+// cacheSlot folds the address bits above 1 TiB and 64 TiB into the chunk
+// number, so the hot chunks of the conventional layout (globals, heap,
+// stack, the two shadow chunks and the mmap area) use distinct slots.
+func cacheSlot(key uint64) uint64 { return (key ^ key>>19 ^ key>>25) % cacheSlots }
+
+// Space is a sparse virtual address space kept in a two-level page table:
+// a directory from chunk number (addr>>21) to chunk, fronted by a small
+// direct-mapped cache of recently used chunks. The zero value is not
+// usable; call NewSpace.
 type Space struct {
-	pages map[uint64]page // keyed by page-aligned address
+	dir   map[uint64]*chunk
+	cache [cacheSlots]cached
 
 	// Reads and Writes count checked guest accesses, for statistics.
 	Reads, Writes uint64
@@ -98,13 +130,44 @@ type Space struct {
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{pages: make(map[uint64]page)}
+	return &Space{dir: make(map[uint64]*chunk)}
 }
-
-func pageAddr(a uint64) uint64 { return a &^ (PageSize - 1) }
 
 // RoundUp rounds a length up to a whole number of pages.
 func RoundUp(n uint64) uint64 { return (n + PageSize - 1) &^ (PageSize - 1) }
+
+// chunk returns the chunk numbered key, or nil if none of its pages is
+// mapped.
+func (s *Space) chunk(key uint64) *chunk {
+	e := &s.cache[cacheSlot(key)]
+	if e.c != nil && e.key == key {
+		return e.c
+	}
+	c := s.dir[key]
+	if c != nil {
+		*e = cached{key, c}
+	}
+	return c
+}
+
+// page returns the entry of the mapped page containing addr, or nil.
+func (s *Space) page(addr uint64) *page {
+	c := s.chunk(addr >> chunkShift)
+	if c == nil {
+		return nil
+	}
+	if pg := &c.pages[addr>>pageShift%chunkPages]; pg.mapped {
+		return pg
+	}
+	return nil
+}
+
+// span splits the page-aligned range [a, end) at its first chunk boundary:
+// the range's first n pages are the entries from index i of chunk key.
+func span(a, end uint64) (key, i, n uint64) {
+	i = a >> pageShift % chunkPages
+	return a >> chunkShift, i, min(chunkPages-i, (end-a)>>pageShift)
+}
 
 // Map maps [addr, addr+length) with the given permissions. addr must be
 // page-aligned. Mapping over an existing page replaces its permissions and
@@ -124,20 +187,49 @@ func (s *Space) Map(addr, length uint64, perm Perm) error {
 // setPerm sets the permissions of every page in [addr, end), mapping the
 // missing ones as zero pages.
 func (s *Space) setPerm(addr, end uint64, perm Perm) {
-	for a := addr; a < end; a += PageSize {
-		pg := s.pages[a]
-		pg.perm = perm
-		s.pages[a] = pg
+	for a := addr; a < end; {
+		key, i, n := span(a, end)
+		c := s.chunk(key)
+		if c == nil {
+			c = new(chunk)
+			s.dir[key] = c
+		}
+		for j := i; j < i+n; j++ {
+			pg := &c.pages[j]
+			if !pg.mapped {
+				pg.mapped = true
+				c.live++
+			}
+			pg.perm = perm
+		}
+		a += n << pageShift
 	}
 }
 
-// Unmap removes the pages covering [addr, addr+length).
+// Unmap removes the pages covering [addr, addr+length). A chunk left with
+// no mapped page is freed.
 func (s *Space) Unmap(addr, length uint64) error {
 	if addr%PageSize != 0 {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned unmap"}
 	}
-	for a := addr; a < addr+RoundUp(length); a += PageSize {
-		delete(s.pages, a)
+	end := addr + RoundUp(length)
+	for a := addr; a < end; {
+		key, i, n := span(a, end)
+		if c := s.chunk(key); c != nil {
+			for j := i; j < i+n; j++ {
+				if c.pages[j].mapped {
+					c.pages[j] = page{}
+					c.live--
+				}
+			}
+			if c.live == 0 {
+				delete(s.dir, key)
+				if e := &s.cache[cacheSlot(key)]; e.c == c {
+					*e = cached{}
+				}
+			}
+		}
+		a += n << pageShift
 	}
 	return nil
 }
@@ -150,10 +242,15 @@ func (s *Space) Protect(addr, length uint64, perm Perm) error {
 		return &Fault{Addr: addr, Kind: AccessMap, Why: "unaligned mprotect"}
 	}
 	end := addr + RoundUp(length)
-	for a := addr; a < end; a += PageSize {
-		if _, ok := s.pages[a]; !ok {
-			return &Fault{Addr: a, Kind: AccessMap, Why: "mprotect of unmapped page"}
+	for a := addr; a < end; {
+		key, i, n := span(a, end)
+		c := s.chunk(key)
+		for j := i; j < i+n; j++ {
+			if c == nil || !c.pages[j].mapped {
+				return &Fault{Addr: a + (j-i)<<pageShift, Kind: AccessMap, Why: "mprotect of unmapped page"}
+			}
 		}
+		a += n << pageShift
 	}
 	s.setPerm(addr, end, perm)
 	return nil
@@ -161,15 +258,14 @@ func (s *Space) Protect(addr, length uint64, perm Perm) error {
 
 // Mapped reports whether addr lies in a mapped page.
 func (s *Space) Mapped(addr uint64) bool {
-	_, ok := s.pages[pageAddr(addr)]
-	return ok
+	return s.page(addr) != nil
 }
 
 // PermAt returns the permissions of the page containing addr; ok is false
 // for unmapped addresses.
 func (s *Space) PermAt(addr uint64) (Perm, bool) {
-	pg, ok := s.pages[pageAddr(addr)]
-	if !ok {
+	pg := s.page(addr)
+	if pg == nil {
 		return PermNone, false
 	}
 	return pg.perm, true
@@ -204,9 +300,8 @@ func (s *Space) access(addr uint64, buf []byte, write, checkPerm bool) error {
 	var done uint64
 	for done < n {
 		a := addr + done
-		pa := pageAddr(a)
-		pg, ok := s.pages[pa]
-		if !ok {
+		pg := s.page(a)
+		if pg == nil {
 			return s.fault(a, write)
 		}
 		if checkPerm {
@@ -217,24 +312,20 @@ func (s *Space) access(addr uint64, buf []byte, write, checkPerm bool) error {
 				return &Fault{Addr: a, Kind: AccessRead, Why: "page is " + pg.perm.String()}
 			}
 		}
-		off := a - pa
-		chunk := PageSize - off
-		if chunk > n-done {
-			chunk = n - done
-		}
+		off := a % PageSize
+		step := min(PageSize-off, n-done)
 		switch {
 		case write:
 			if pg.data == nil {
 				pg.data = new([PageSize]byte)
-				s.pages[pa] = pg
 			}
-			copy(pg.data[off:off+chunk], buf[done:done+chunk])
+			copy(pg.data[off:off+step], buf[done:done+step])
 		case pg.data == nil:
-			clear(buf[done : done+chunk])
+			clear(buf[done : done+step])
 		default:
-			copy(buf[done:done+chunk], pg.data[off:off+chunk])
+			copy(buf[done:done+step], pg.data[off:off+step])
 		}
-		done += chunk
+		done += step
 	}
 	return nil
 }
@@ -247,9 +338,65 @@ func (s *Space) fault(addr uint64, write bool) error {
 	return &Fault{Addr: addr, Kind: k, Why: "unmapped page"}
 }
 
+// word returns the entry of the mapped page holding the whole size-byte
+// word at addr, or nil when the word is not 1, 2, 4 or 8 bytes, straddles
+// a page or is unmapped. The Uint accessors serve a word with an entry
+// directly and leave everything else, faults included, to the general
+// path.
+func (s *Space) word(addr uint64, size int64) *page {
+	switch size {
+	case 1, 2, 4, 8:
+		if addr%PageSize+uint64(size) <= PageSize {
+			return s.page(addr)
+		}
+	}
+	return nil
+}
+
+// load decodes the size-byte little-endian word at addr from pg; size is
+// 1, 2, 4 or 8.
+func (pg *page) load(addr uint64, size int64) uint64 {
+	if pg.data == nil {
+		return 0
+	}
+	b := pg.data[addr%PageSize:]
+	switch size {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	}
+	return binary.LittleEndian.Uint64(b)
+}
+
+// store encodes v as a size-byte little-endian word at addr in pg; size is
+// 1, 2, 4 or 8.
+func (pg *page) store(addr, v uint64, size int64) {
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+	}
+	b := pg.data[addr%PageSize:]
+	switch size {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
 // ReadUint reads an unsigned little-endian integer of the given width
 // (1, 2, 4, or 8 bytes) with permission checks.
 func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
+	if pg := s.word(addr, size); pg != nil && pg.perm&PermRead != 0 {
+		s.Reads++
+		return pg.load(addr, size), nil
+	}
 	var buf [8]byte
 	if err := s.Read(addr, buf[:size]); err != nil {
 		return 0, err
@@ -260,6 +407,11 @@ func (s *Space) ReadUint(addr uint64, size int64) (uint64, error) {
 // WriteUint writes an unsigned little-endian integer of the given width
 // with permission checks.
 func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
+	if pg := s.word(addr, size); pg != nil && pg.perm&PermWrite != 0 {
+		s.Writes++
+		pg.store(addr, v, size)
+		return nil
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return s.Write(addr, buf[:size])
@@ -267,6 +419,9 @@ func (s *Space) WriteUint(addr uint64, v uint64, size int64) error {
 
 // PeekUint reads an integer without permission checks.
 func (s *Space) PeekUint(addr uint64, size int64) (uint64, error) {
+	if pg := s.word(addr, size); pg != nil {
+		return pg.load(addr, size), nil
+	}
 	var buf [8]byte
 	if err := s.Peek(addr, buf[:size]); err != nil {
 		return 0, err
@@ -276,6 +431,10 @@ func (s *Space) PeekUint(addr uint64, size int64) (uint64, error) {
 
 // PokeUint writes an integer without permission checks.
 func (s *Space) PokeUint(addr uint64, v uint64, size int64) error {
+	if pg := s.word(addr, size); pg != nil {
+		pg.store(addr, v, size)
+		return nil
+	}
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], v)
 	return s.Poke(addr, buf[:size])
@@ -317,19 +476,24 @@ type Region struct {
 // pages with equal permissions. Useful for /proc/self/maps-style dumps and
 // tests.
 func (s *Space) Regions() []Region {
-	addrs := make([]uint64, 0, len(s.pages))
-	for a := range s.pages {
-		addrs = append(addrs, a)
+	keys := make([]uint64, 0, len(s.dir))
+	for k := range s.dir {
+		keys = append(keys, k)
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var out []Region
-	for _, a := range addrs {
-		p := s.pages[a].perm
-		if n := len(out); n > 0 && out[n-1].Addr+out[n-1].Size == a && out[n-1].Perm == p {
-			out[n-1].Size += PageSize
-			continue
+	for _, k := range keys {
+		for i, pg := range &s.dir[k].pages {
+			if !pg.mapped {
+				continue
+			}
+			a := k<<chunkShift | uint64(i)<<pageShift
+			if n := len(out); n > 0 && out[n-1].Addr+out[n-1].Size == a && out[n-1].Perm == pg.perm {
+				out[n-1].Size += PageSize
+				continue
+			}
+			out = append(out, Region{Addr: a, Size: PageSize, Perm: pg.perm})
 		}
-		out = append(out, Region{Addr: a, Size: PageSize, Perm: p})
 	}
 	return out
 }

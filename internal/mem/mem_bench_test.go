@@ -1,6 +1,10 @@
 package mem
 
-import "testing"
+import (
+	"testing"
+
+	"bastion/internal/ir"
+)
 
 // BenchmarkGuestWord measures the checked word access on the guest's hot
 // path (every IR load/store lands here).
@@ -18,6 +22,37 @@ func BenchmarkGuestWord(b *testing.B) {
 		}
 		if _, err := s.ReadUint(addr, 8); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGuestWordSpread interleaves word accesses over the regions a
+// guest touches together: globals, heap, stack and the shadow region. Their
+// chunks compete for the page table's chunk cache, which
+// BenchmarkGuestWord's single region never exercises.
+func BenchmarkGuestWordSpread(b *testing.B) {
+	s := NewSpace()
+	for _, r := range []struct{ base, size uint64 }{
+		{ir.DataBase, 1 << 16},
+		{ir.HeapBase, 1 << 16},
+		{ir.StackTop - ir.StackSize, ir.StackSize},
+		{ir.ShadowBase, ir.ShadowSize},
+	} {
+		if err := s.Map(r.base, r.size, PermRW); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := uint64(i%4096) * 8
+		for _, addr := range [...]uint64{ir.DataBase + off, ir.HeapBase + off, ir.StackTop - 8 - off, ir.ShadowBase + off} {
+			if err := s.WriteUint(addr, uint64(i), 8); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.ReadUint(addr, 8); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -217,9 +217,9 @@ func (t *Nginx) Unit(p *core.Protected, i int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	body := conn.ClientReadAll()
-	if int64(len(body)) != int64(n) || int64(n) != PageSize {
-		return int64(n), fmt.Errorf("nginx served %d bytes (driver saw %d), want %d", int64(n), len(body), PageSize)
+	got := conn.ClientDrain()
+	if int64(got) != int64(n) || int64(n) != PageSize {
+		return int64(n), fmt.Errorf("nginx served %d bytes (client saw %d), want %d", int64(n), got, PageSize)
 	}
 	conn.Close()
 	return int64(n), nil
