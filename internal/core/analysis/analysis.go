@@ -16,13 +16,18 @@
 // The pass runs on an unlinked program, plans instrumentation, rewrites the
 // functions, links the result, and only then materializes address-keyed
 // metadata, so all callsite addresses in the metadata refer to the final
-// instrumented binary.
+// instrumented binary. The call-type, control-flow and syscall-flow
+// contexts come from the policy-derivation core it shares with the
+// binary-only extractor (internal/core/derive); the pass supplies the
+// points-to refinement of indirect callsites (pointsto.go) and the
+// argument contexts.
 package analysis
 
 import (
 	"fmt"
 	"sort"
 
+	"bastion/internal/core/derive"
 	"bastion/internal/core/metadata"
 	"bastion/internal/ir"
 )
@@ -84,8 +89,6 @@ type pass struct {
 
 	// wrapperNr maps wrapper function name -> syscall number.
 	wrapperNr map[string]int64
-	// wrapperOf maps syscall number -> wrapper name.
-	wrapperOf map[int64]string
 
 	stats Stats
 
@@ -167,7 +170,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		opts:          opts,
 		sensitive:     map[uint32]bool{},
 		wrapperNr:     map[string]int64{},
-		wrapperOf:     map[int64]string{},
 		plan:          map[string][]insertion{},
 		sensVars:      map[varKey]bool{},
 		sensParams:    map[paramKey]bool{},
@@ -198,7 +200,6 @@ func (p *pass) findWrappers() {
 	for _, f := range p.prog.Funcs {
 		if nr, ok := ir.SyscallNumber(f); ok {
 			p.wrapperNr[f.Name] = nr
-			p.wrapperOf[nr] = f.Name
 		}
 	}
 }
@@ -213,78 +214,28 @@ func (p *pass) isSensitiveWrapper(fn string) (uint32, bool) {
 }
 
 // buildMetadata constructs the address-keyed metadata from the linked,
-// instrumented program.
+// instrumented program: the shared derivation core fills the call-type,
+// control-flow, indirect-call and syscall-flow contexts, with indirect
+// callsites refined by the points-to analysis; the pass adds the argument
+// sites it planned.
 func (p *pass) buildMetadata() (*metadata.Metadata, error) {
-	meta := metadata.New()
-	meta.Entry = p.prog.Entry
-
-	for _, f := range p.prog.Funcs {
-		meta.Funcs[f.Name] = metadata.FuncInfo{
-			Name:  f.Name,
-			Entry: f.Base,
-			End:   f.Base + uint64(len(f.Code))*ir.InstrSize,
-		}
-	}
-
-	// Call-type classification and the callsite map.
-	for _, f := range p.prog.Funcs {
-		for i := range f.Code {
-			in := &f.Code[i]
-			switch in.Kind {
-			case ir.Call:
-				p.stats.TotalCallsites++
-				p.stats.DirectCallsites++
-				cs := metadata.Callsite{
-					Addr:    f.InstrAddr(i),
-					RetAddr: f.InstrAddr(i + 1),
-					Caller:  f.Name,
-					Kind:    metadata.SiteDirect,
-					Target:  in.Sym,
-				}
-				meta.Callsites[cs.RetAddr] = cs
-				if nr, ok := p.wrapperNr[in.Sym]; ok {
-					ct := meta.CallTypes[uint32(nr)]
-					ct.Nr = uint32(nr)
-					ct.Wrapper = in.Sym
-					ct.Direct = true
-					meta.CallTypes[uint32(nr)] = ct
-					if p.sensitive[uint32(nr)] {
-						p.stats.SensitiveCallsites++
-					}
-				}
-			case ir.CallInd:
-				p.stats.TotalCallsites++
-				p.stats.IndirectCallsites++
-				cs := metadata.Callsite{
-					Addr:    f.InstrAddr(i),
-					RetAddr: f.InstrAddr(i + 1),
-					Caller:  f.Name,
-					Kind:    metadata.SiteIndirect,
-					TypeSig: in.TypeSig,
-				}
-				meta.Callsites[cs.RetAddr] = cs
-			case ir.FuncAddr:
-				meta.IndirectTargets[in.Sym] = true
-				if nr, ok := p.wrapperNr[in.Sym]; ok {
-					ct := meta.CallTypes[uint32(nr)]
-					ct.Nr = uint32(nr)
-					ct.Wrapper = in.Sym
-					ct.Indirect = true
-					meta.CallTypes[uint32(nr)] = ct
-					if p.sensitive[uint32(nr)] {
-						p.stats.SensitiveIndirect++
-					}
-				}
-			}
-		}
-	}
-	for nr, ct := range meta.CallTypes {
-		ct.Name = sysName(nr)
-		meta.CallTypes[nr] = ct
-	}
-
-	pt := p.buildCFG(meta)
-	p.buildFlowGraph(meta, pt)
+	meta, c := derive.Policy(p.prog, p.opts.Sensitive, p.runPointsTo().refine)
+	p.stats.TotalCallsites = c.TotalCallsites
+	p.stats.DirectCallsites = c.DirectCallsites
+	p.stats.IndirectCallsites = c.IndirectCallsites
+	p.stats.SensitiveCallsites = c.SensitiveCallsites
+	p.stats.SensitiveIndirect = c.SensitiveIndirect
+	p.stats.IndirectEdgesCoarse = c.IndirectEdgesCoarse
+	p.stats.IndirectEdgesRefined = c.IndirectEdgesRefined
+	p.stats.IndirectEdgesRemoved = c.IndirectEdgesCoarse - c.IndirectEdgesRefined
+	p.stats.AllowedPairsCoarse = c.AllowedPairsCoarse
+	p.stats.AllowedPairsRefined = c.AllowedPairsRefined
+	p.stats.AllowedPairsRemoved = c.AllowedPairsCoarse - c.AllowedPairsRefined
+	p.stats.ExactIndirectSites = c.ExactIndirectSites
+	p.stats.EscapedIndirectSites = c.EscapedIndirectSites
+	p.stats.FlowNodes = c.FlowNodes
+	p.stats.FlowEdges = c.FlowEdges
+	p.stats.FlowStarts = c.FlowStarts
 
 	// Materialize argument sites with final addresses.
 	for key, draft := range p.argSites {
@@ -327,168 +278,4 @@ func (p *pass) buildMetadata() (*metadata.Metadata, error) {
 		return a.Pos < b.Pos
 	})
 	return meta, nil
-}
-
-// buildCFG computes callee→valid-caller relations for every function on a
-// path to a sensitive syscall wrapper (§6.2): reverse reachability from
-// the sensitive wrappers over direct call edges, stopping at main and not
-// crossing indirect callsites. It returns the points-to result so the
-// syscall-flow derivation can reuse the per-callsite target sets.
-func (p *pass) buildCFG(meta *metadata.Metadata) *pointsTo {
-	// Direct call graph: callee -> callers.
-	callers := map[string]map[string]bool{}
-	for _, f := range p.prog.Funcs {
-		for i := range f.Code {
-			in := &f.Code[i]
-			if in.Kind != ir.Call {
-				continue
-			}
-			if callers[in.Sym] == nil {
-				callers[in.Sym] = map[string]bool{}
-			}
-			callers[in.Sym][f.Name] = true
-		}
-	}
-	// Per-sensitive-syscall reverse reachability: which functions lie on a
-	// direct-call path to each sensitive wrapper. The union fills
-	// ValidCallers; the per-syscall sets drive AllowedIndirect.
-	reaches := map[uint32]map[string]bool{}
-	wrappers := make([]string, 0, len(p.wrapperNr))
-	for fn := range p.wrapperNr {
-		wrappers = append(wrappers, fn)
-	}
-	sort.Strings(wrappers) // determinism
-	for _, fn := range wrappers {
-		nr, sens := p.isSensitiveWrapper(fn)
-		if !sens {
-			continue
-		}
-		set := map[string]bool{fn: true}
-		work := []string{fn}
-		for len(work) > 0 {
-			callee := work[0]
-			work = work[1:]
-			cs := callers[callee]
-			if len(cs) == 0 {
-				continue
-			}
-			if meta.ValidCallers[callee] == nil {
-				meta.ValidCallers[callee] = map[string]bool{}
-			}
-			names := make([]string, 0, len(cs))
-			for c := range cs {
-				names = append(names, c)
-			}
-			sort.Strings(names)
-			for _, caller := range names {
-				meta.ValidCallers[callee][caller] = true
-				// Recursion stops at main; indirect reachability of the
-				// caller is recorded via IndirectTargets and ends monitor
-				// unwinding.
-				if caller == p.prog.Entry || set[caller] {
-					continue
-				}
-				set[caller] = true
-				work = append(work, caller)
-			}
-		}
-		reaches[nr] = set
-	}
-
-	// AllowedIndirect: an indirect callsite may start a path to syscall nr
-	// iff a function in its target set reaches nr (the statically expected
-	// partial traces of §7.3). The coarse baseline admits every
-	// address-taken function with the callsite's signature; the refined
-	// policy uses the points-to target sets, which shrink that to the
-	// functions whose address actually flows into the callsite.
-	pt := p.runPointsTo()
-	meta.AllowedIndirectCoarse = metadata.NrAddrSets{}
-	meta.IndirectSites = map[uint64]metadata.IndirectSite{}
-	for _, s := range pt.sites {
-		f := p.prog.Func(s.fn)
-		addr := f.InstrAddr(s.idx)
-		meta.IndirectSites[addr] = metadata.IndirectSite{
-			Addr:    addr,
-			Caller:  s.fn,
-			TypeSig: s.sig,
-			Targets: sortedNames(s.refined),
-			Coarse:  sortedNames(s.coarse),
-			Exact:   s.exact,
-		}
-		p.stats.IndirectEdgesCoarse += len(s.coarse)
-		p.stats.IndirectEdgesRefined += len(s.refined)
-		if s.exact {
-			p.stats.ExactIndirectSites++
-		} else {
-			p.stats.EscapedIndirectSites++
-		}
-		for nr, set := range reaches {
-			if reachesAny(set, s.coarse) {
-				if meta.AllowedIndirectCoarse[nr] == nil {
-					meta.AllowedIndirectCoarse[nr] = metadata.AddrSet{}
-				}
-				meta.AllowedIndirectCoarse[nr][addr] = true
-			}
-			if reachesAny(set, s.refined) {
-				if meta.AllowedIndirect[nr] == nil {
-					meta.AllowedIndirect[nr] = metadata.AddrSet{}
-				}
-				meta.AllowedIndirect[nr][addr] = true
-			}
-		}
-	}
-	// A syscall constrained under the coarse policy stays constrained when
-	// refinement empties its callsite set: a present-but-empty entry
-	// rejects every indirect path, an absent one would unconstrain it.
-	for nr, coarse := range meta.AllowedIndirectCoarse {
-		if meta.AllowedIndirect[nr] == nil {
-			meta.AllowedIndirect[nr] = metadata.AddrSet{}
-		}
-		p.stats.AllowedPairsCoarse += len(coarse)
-		p.stats.AllowedPairsRefined += len(meta.AllowedIndirect[nr])
-	}
-	p.stats.IndirectEdgesRemoved = p.stats.IndirectEdgesCoarse - p.stats.IndirectEdgesRefined
-	p.stats.AllowedPairsRemoved = p.stats.AllowedPairsCoarse - p.stats.AllowedPairsRefined
-	return pt
-}
-
-// reachesAny reports whether any function in targets is in the
-// reachability set.
-func reachesAny(set map[string]bool, targets map[string]bool) bool {
-	for t := range targets {
-		if set[t] {
-			return true
-		}
-	}
-	return false
-}
-
-func sortedNames(set map[string]bool) []string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func sysName(nr uint32) string {
-	if n, ok := syscallNames[nr]; ok {
-		return n
-	}
-	return fmt.Sprintf("sys_%d", nr)
-}
-
-// syscallNames duplicates the kernel's name table for the numbers that
-// matter to metadata rendering, avoiding an import cycle with packages
-// that build on both.
-var syscallNames = map[uint32]string{
-	0: "read", 1: "write", 2: "open", 3: "close", 4: "stat", 5: "fstat",
-	8: "lseek", 9: "mmap", 10: "mprotect", 11: "munmap", 12: "brk",
-	25: "mremap", 39: "getpid", 40: "sendfile", 41: "socket", 42: "connect",
-	43: "accept", 44: "sendto", 45: "recvfrom", 49: "bind", 50: "listen",
-	56: "clone", 57: "fork", 58: "vfork", 59: "execve", 60: "exit",
-	90: "chmod", 101: "ptrace", 105: "setuid", 106: "setgid",
-	113: "setreuid", 216: "remap_file_pages", 231: "exit_group",
-	257: "openat", 288: "accept4", 322: "execveat",
 }

@@ -1,8 +1,7 @@
 package analysis
 
 import (
-	"sort"
-
+	"bastion/internal/core/derive"
 	"bastion/internal/ir"
 )
 
@@ -32,22 +31,6 @@ type ptCell struct {
 	off      int64
 }
 
-// ptSite is the computed policy for one indirect callsite.
-type ptSite struct {
-	fn  string // containing function
-	idx int    // instruction index in the instrumented function
-	sig string // callsite type signature
-
-	// coarse is the baseline target set: every address-taken function
-	// matching the callsite signature.
-	coarse map[string]bool
-	// refined is the points-to target set (always ⊆ coarse).
-	refined map[string]bool
-	// exact reports that the target register resolved through tracked
-	// cells only; when false, refined fell back to coarse.
-	exact bool
-}
-
 // pointsTo carries the fixpoint state.
 type pointsTo struct {
 	p *pass
@@ -55,7 +38,6 @@ type pointsTo struct {
 	// addressTaken is the escape soup: every function whose address is
 	// materialized anywhere (ir.FuncAddr).
 	addressTaken map[string]bool
-	sigOf        map[string]string
 
 	// cells maps each tracked cell to the function constants stored there.
 	cells map[ptCell]map[string]bool
@@ -68,21 +50,18 @@ type pointsTo struct {
 	poisoned bool
 
 	changed bool
-	sites   []*ptSite
 }
 
-// runPointsTo computes per-indirect-callsite target sets for the linked,
-// instrumented program.
+// runPointsTo runs the cell fixpoint over the linked, instrumented program;
+// refine then reads per-indirect-callsite target sets from it.
 func (p *pass) runPointsTo() *pointsTo {
 	pt := &pointsTo{
 		p:            p,
 		addressTaken: map[string]bool{},
-		sigOf:        map[string]string{},
 		cells:        map[ptCell]map[string]bool{},
 		unknown:      map[ptCell]bool{},
 	}
 	for _, f := range p.prog.Funcs {
-		pt.sigOf[f.Name] = f.TypeSig
 		for i := range f.Code {
 			if f.Code[i].Kind == ir.FuncAddr {
 				pt.addressTaken[f.Code[i].Sym] = true
@@ -101,9 +80,16 @@ func (p *pass) runPointsTo() *pointsTo {
 			break
 		}
 	}
-
-	pt.collectSites()
 	return pt
+}
+
+// refine is the derive.Refine of the compiler pass: the function constants
+// that reach the indirect callsite's target register. Escaped values (an
+// untracked read, or any poisoned store) are not exact, and the site keeps
+// its coarse address-taken frontier.
+func (pt *pointsTo) refine(f *ir.Function, idx int) (map[string]bool, bool) {
+	vals, exact := pt.funcSet(f, idx, f.Code[idx].Target, 0)
+	return vals, exact && !pt.poisoned
 }
 
 // cellOf converts a resolved, non-indirected address expression to a cell.
@@ -188,10 +174,7 @@ func (pt *pointsTo) transferFunc(f *ir.Function) {
 			// The concrete callee is unknown while its policy is still
 			// being computed; bind arguments to every signature-compatible
 			// address-taken candidate (a superset of any refined answer).
-			for t := range pt.addressTaken {
-				if in.TypeSig != "" && pt.sigOf[t] != in.TypeSig {
-					continue
-				}
+			for t := range derive.Frontier(pt.p.prog, pt.addressTaken, in.TypeSig) {
 				if callee := pt.p.prog.Func(t); callee != nil {
 					pt.bindCallArgs(f, i, in.Args, callee)
 				}
@@ -273,49 +256,4 @@ func (pt *pointsTo) funcSet(f *ir.Function, idx int, reg ir.Reg, depth int) (map
 		return pt.cells[cell], !pt.unknown[cell] && !pt.poisoned
 	}
 	return nil, false
-}
-
-// collectSites materializes the per-callsite policies after the fixpoint.
-func (pt *pointsTo) collectSites() {
-	names := make([]string, 0, len(pt.p.prog.Funcs))
-	for _, f := range pt.p.prog.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		f := pt.p.prog.Func(name)
-		for i := range f.Code {
-			in := &f.Code[i]
-			if in.Kind != ir.CallInd {
-				continue
-			}
-			s := &ptSite{
-				fn: f.Name, idx: i, sig: in.TypeSig,
-				coarse:  map[string]bool{},
-				refined: map[string]bool{},
-			}
-			for t := range pt.addressTaken {
-				if in.TypeSig != "" && pt.sigOf[t] != in.TypeSig {
-					continue
-				}
-				s.coarse[t] = true
-			}
-			vals, exact := pt.funcSet(f, i, in.Target, 0)
-			s.exact = exact && !pt.poisoned
-			if s.exact {
-				for t := range vals {
-					if in.TypeSig != "" && pt.sigOf[t] != in.TypeSig {
-						continue
-					}
-					s.refined[t] = true
-				}
-			} else {
-				// Escape fallback: the coarse address-taken policy.
-				for t := range s.coarse {
-					s.refined[t] = true
-				}
-			}
-			pt.sites = append(pt.sites, s)
-		}
-	}
 }

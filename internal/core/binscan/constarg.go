@@ -269,7 +269,7 @@ func (v *valuation) evalDef(f *ir.Function, d int, depth int, active map[valKey]
 		if !b.ok {
 			return b
 		}
-		if folded, ok := foldOp(in.Op, a.v, b.v); ok {
+		if folded, ok := in.Op.Fold(a.v, b.v); ok {
 			return konst(folded)
 		}
 		return top(ReasonValueOrigin)
@@ -467,7 +467,7 @@ func (v *valuation) paramValue(f *ir.Function, slot int, depth int, active map[v
 	if depth >= v.s.opts.MaxUseDefDepth {
 		return top(ReasonDepthLimit)
 	}
-	if v.s.addressTaken[f.Name] {
+	if v.s.meta.IndirectTargets[f.Name] {
 		return top(ReasonIndirectCaller)
 	}
 	refs := v.s.callRefs[f.Name]
@@ -681,26 +681,4 @@ func (v *valuation) globalBaseAll(f *ir.Function, idx int, reg ir.Reg, depth int
 		}
 	}
 	return true
-}
-
-func foldOp(op ir.Op, a, b int64) (int64, bool) {
-	switch op {
-	case ir.OpAdd:
-		return a + b, true
-	case ir.OpSub:
-		return a - b, true
-	case ir.OpMul:
-		return a * b, true
-	case ir.OpAnd:
-		return a & b, true
-	case ir.OpOr:
-		return a | b, true
-	case ir.OpXor:
-		return a ^ b, true
-	case ir.OpShl:
-		return a << (uint64(b) & 63), true
-	case ir.OpShr:
-		return int64(uint64(a) >> (uint64(b) & 63)), true
-	}
-	return 0, false
 }

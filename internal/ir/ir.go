@@ -70,6 +70,31 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
+// Fold evaluates o over two constants for the operations static analyses
+// fold: arithmetic, bitwise logic and shifts. Division, modulo and the
+// comparisons do not fold (ok is false).
+func (o Op) Fold(a, b int64) (v int64, ok bool) {
+	switch o {
+	case OpAdd:
+		return a + b, true
+	case OpSub:
+		return a - b, true
+	case OpMul:
+		return a * b, true
+	case OpAnd:
+		return a & b, true
+	case OpOr:
+		return a | b, true
+	case OpXor:
+		return a ^ b, true
+	case OpShl:
+		return a << (uint64(b) & 63), true
+	case OpShr:
+		return int64(uint64(a) >> (uint64(b) & 63)), true
+	}
+	return 0, false
+}
+
 // OperandKind discriminates Operand.
 type OperandKind uint8
 
